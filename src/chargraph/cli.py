@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", help="path to a JSONL corpus file")
     p.add_argument("--bundled", action="store_true", help="use the corpus shipped in the package")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", default=True, help="reject unknown fields (default)")
+    mode.add_argument("--strict", action="store_true", default=True, help="explicit alias of the default strict mode: reject unknown fields")
     mode.add_argument("--lax", action="store_true", help="warn on unknown fields instead")
     p.set_defaults(handler=_cmd_verify)
 

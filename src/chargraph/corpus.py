@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Any, Iterable, Mapping
 
 from .duke import screen
-from .graphs import UNREACHABLE, DegreeSet, PrimeGraph, bipartition_or_odd_cycle, build_graph
+from .graphs import DegreeSet, PrimeGraph, bipartition_or_odd_cycle, build_graph
 
 RECORD_FIELDS = ("name", "order", "degrees", "solvable", "source")
 
@@ -172,15 +172,10 @@ def _check_record(record: GroupRecord) -> dict[str, Any]:
 
     diam = summary["diameter"]
     if diam is not None and diam > 3:
-        pair = next(
-            (u, v, int(g.distance(u, v)))
-            for i, u in enumerate(g.vertices)
-            for v in g.vertices[i + 1 :]
-            if g.distance(u, v) != UNREACHABLE and g.distance(u, v) > 3
-        )
+        i, j, d = next(g.pairs_at_distance(4))
         checks["K1"] = {
             "pass": False,
-            "certificate": {"pair": [pair[0], pair[1]], "distance": pair[2]},
+            "certificate": {"pair": [g.vertices[i], g.vertices[j]], "distance": d},
         }
     else:
         checks["K1"] = {"pass": True, "certificate": None}

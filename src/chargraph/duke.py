@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from . import primes
-from .graphs import UNREACHABLE, PrimeGraph, bipartition_or_odd_cycle, _iter_bits
+from .graphs import PrimeGraph, bipartition_or_odd_cycle, _iter_bits
 
 DIAMETER_EXCEEDS_3 = "DIAMETER_EXCEEDS_3"
 DIAM3_NOT_DUKE = "DIAM3_NOT_DUKE"
@@ -271,17 +271,13 @@ def lemma31_holds(g: PrimeGraph) -> tuple[bool, tuple[int, int, int] | None]:
     first triple (p, q, t) where t is adjacent to neither; vacuously true
     when no distance-3 pair exists.
     """
-    verts = g.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if g.distance(verts[i], verts[j]) != 3:
-                continue
-            p, q = verts[i], verts[j]
-            for t in verts:
-                if t in (p, q):
-                    continue
-                if not g.adjacent(t, p) and not g.adjacent(t, q):
-                    return False, (p, q, t)
+    full = (1 << len(g.vertices)) - 1
+    masks = g.masks
+    for i, j, _ in g.pairs_at_distance(3, 3):
+        uncovered = full & ~(masks[i] | masks[j] | 1 << i | 1 << j)
+        if uncovered:
+            t = (uncovered & -uncovered).bit_length() - 1
+            return False, (g.vertices[i], g.vertices[j], g.vertices[t])
     return True, None
 
 
@@ -366,14 +362,6 @@ class FeasibilityReport:
         )
 
 
-def _first_pair_at_distance(g: PrimeGraph, want: int) -> tuple[int, int] | None:
-    for i in range(len(g.vertices)):
-        for j in range(i + 1, len(g.vertices)):
-            if g.distance(g.vertices[i], g.vertices[j]) == want:
-                return g.vertices[i], g.vertices[j]
-    return None
-
-
 def screen(g: PrimeGraph) -> FeasibilityReport:
     """Apply the necessary conditions for being a finite group's degree graph.
 
@@ -389,28 +377,18 @@ def screen(g: PrimeGraph) -> FeasibilityReport:
     certificates: dict[str, Any] = {}
     diam = g.diameter()
     if diam > 3:
-        pair = None
-        for i in range(len(g.vertices)):
-            for j in range(i + 1, len(g.vertices)):
-                d = g.distance(g.vertices[i], g.vertices[j])
-                if d != UNREACHABLE and d > 3:
-                    pair = (g.vertices[i], g.vertices[j], int(d))
-                    break
-            if pair:
-                break
-        assert pair is not None
+        i, j, d = next(g.pairs_at_distance(4))
         reasons.append(DIAMETER_EXCEEDS_3)
         certificates[DIAMETER_EXCEEDS_3] = {
-            "pair": [pair[0], pair[1]],
-            "distance": pair[2],
+            "pair": [g.vertices[i], g.vertices[j]],
+            "distance": d,
         }
     elif diam == 3:
         if find_duke(g) is None:
-            anchor = _first_pair_at_distance(g, 3)
-            assert anchor is not None
+            i, j, _ = next(g.pairs_at_distance(3, 3))
             reasons.append(DIAM3_NOT_DUKE)
             certificates[DIAM3_NOT_DUKE] = {
-                "pair": [anchor[0], anchor[1]],
+                "pair": [g.vertices[i], g.vertices[j]],
                 "search": "exhaustive",
             }
         certificate = bipartition_or_odd_cycle(g.complement())

@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from . import primes
@@ -113,31 +114,46 @@ class PrimeGraph:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks over vertex indices."""
-        n = len(self.vertices)
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.bits >> _pair_bit(i, j) & 1:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+        """Per-vertex neighbor bitmasks over vertex indices.
+
+        Row j of the triangle (the pairs (i, j), i < j) is the j bits of
+        `bits` from _pair_bit(0, j) on: the lower neighbors of j in one
+        shift.  Each of them gains j as an upper neighbor.
+        """
+        masks = [0] * len(self.vertices)
+        for j in range(1, len(masks)):
+            row = self.bits >> (j * (j - 1) // 2) & ((1 << j) - 1)
+            masks[j] = row
+            while row:
+                low = row & -row
+                masks[low.bit_length() - 1] |= 1 << j
+                row ^= low
         return tuple(masks)
 
     @cached_property
-    def _dist_matrix(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(self._bfs(i) for i in range(len(self.vertices)))
-
-    def _bfs(self, src: int) -> tuple[float, ...]:
-        dist = [UNREACHABLE] * len(self.vertices)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in _iter_bits(self.masks[u]):
-                if dist[v] == UNREACHABLE:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return tuple(dist)
+    def _levels(self) -> tuple[tuple[int, ...], ...]:
+        """Per source index, the breadth-first frontiers as bitmasks: entry d
+        holds the vertices at distance d.  The next frontier is the union of
+        the current one's neighbors, less every vertex already reached."""
+        full = (1 << len(self.vertices)) - 1
+        neighbors = {1 << i: mask for i, mask in enumerate(self.masks)}  # keyed by vertex bit
+        out = []
+        for src in range(len(self.vertices)):
+            frontier = reached = 1 << src
+            levels = [frontier]
+            while reached != full:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= neighbors[low]
+                    frontier ^= low
+                frontier = nxt & ~reached
+                if not frontier:
+                    break
+                reached |= frontier
+                levels.append(frontier)
+            out.append(tuple(levels))
+        return tuple(out)
 
     # -- basic queries ------------------------------------------------------
 
@@ -195,38 +211,44 @@ class PrimeGraph:
         """Connected components as prime sets, ordered by smallest member."""
         seen = 0
         out: list[frozenset[int]] = []
-        for root in range(len(self.vertices)):
+        for root, levels in enumerate(self._levels):
             if seen >> root & 1:
                 continue
-            comp = 1 << root
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                fresh = self.masks[u] & ~comp
-                comp |= fresh
-                queue.extend(_iter_bits(fresh))
+            comp = reduce(or_, levels)
             seen |= comp
             out.append(frozenset(self.vertices[i] for i in _iter_bits(comp)))
         return out
 
     def distances_from(self, u: int) -> dict[int, float]:
-        row = self._dist_matrix[self._require_vertex(u)]
-        return {p: row[i] for i, p in enumerate(self.vertices)}
+        row: dict[int, float] = dict.fromkeys(self.vertices, UNREACHABLE)
+        for d, level in enumerate(self._levels[self._require_vertex(u)]):
+            for j in _iter_bits(level):
+                row[self.vertices[j]] = d
+        return row
 
     def distance(self, u: int, v: int) -> float:
         """Shortest-path edge count, or UNREACHABLE across components."""
-        return self._dist_matrix[self._require_vertex(u)][self._require_vertex(v)]
+        i, j = self._require_vertex(u), self._require_vertex(v)
+        return next((d for d, level in enumerate(self._levels[i]) if level >> j & 1), UNREACHABLE)
 
     def diameter(self) -> int:
         """Largest distance within a component; 0 if every vertex is isolated."""
         if not self.vertices:
             raise ValueError("diameter of the empty graph is undefined")
-        best = 0
-        for row in self._dist_matrix:
-            for d in row:
-                if d != UNREACHABLE and d > best:
-                    best = d
-        return int(best)
+        return max(len(levels) for levels in self._levels) - 1
+
+    def pairs_at_distance(self, lo: int, hi: int = MAX_VERTICES) -> Iterator[tuple[int, int, int]]:
+        """Index pairs (i, j, d), i < j, at a finite distance lo <= d <= hi,
+        in lexicographic (i, j) order."""
+        for i, levels in enumerate(self._levels):
+            above = -2 << i
+            hits = sorted(
+                (j, d)
+                for d in range(lo, min(hi + 1, len(levels)))
+                for j in _iter_bits(levels[d] & above)
+            )
+            for j, d in hits:
+                yield i, j, d
 
     def is_complete(self) -> bool:
         n = len(self.vertices)

@@ -2,7 +2,7 @@
 
 Everything here re-derives answers from first principles: ordered-partition
 enumeration with nested-loop condition checks, try-all-colorings
-bipartiteness, divisibility double loops.  None of it shares logic with
+bipartiteness, divisibility double loops, Floyd-Warshall distances.  None of it shares logic with
 the library's pruned searches, so agreement is meaningful.
 """
 
@@ -96,3 +96,20 @@ def edge_matches_divisibility(g: PrimeGraph, degrees) -> bool:
             if g.adjacent(p, q) != expected:
                 return False
     return True
+
+
+def floyd_warshall(g: PrimeGraph) -> dict[tuple[int, int], float]:
+    """All-pairs shortest path edge counts over g.adjacent, keyed by prime
+    pairs; float("inf") across components."""
+    verts = g.vertices
+    dist = {
+        (u, v): 0 if u == v else 1 if g.adjacent(u, v) else float("inf")
+        for u in verts
+        for v in verts
+    }
+    for w in verts:
+        for u in verts:
+            for v in verts:
+                if dist[u, w] + dist[w, v] < dist[u, v]:
+                    dist[u, v] = dist[u, w] + dist[w, v]
+    return dist

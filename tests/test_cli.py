@@ -125,6 +125,19 @@ def test_verify_bundled_corpus(capsys):
     assert doc["totals"]["records"] >= 10
 
 
+def test_verify_strict_is_the_default(tmp_path, capsys):
+    def verify(argv):
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    assert verify(["verify", "--strict", "--bundled"]) == verify(["verify", "--bundled"])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"name":"x","degrees":[1],"source":"t","note":"hi"}\n', encoding="utf-8")
+    strict = verify(["verify", "--strict", str(path)])
+    assert strict == verify(["verify", str(path)])
+    assert strict[0] == 1
+
+
 def test_verify_corpus_path(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     path.write_text(bundled_corpus_path().read_text(encoding="utf-8"), encoding="utf-8")
