@@ -5,10 +5,11 @@ One record per line:
     {"name": "PSL(2,11)", "order": 660, "degrees": [1,5,10,11,12],
      "solvable": false, "source": "psl2 formula"}
 
-`order` and `solvable` are optional.  Parsing is strict by default
-(unknown fields are rejected); lax mode downgrades them to warnings.
-Duplicate degrees are collapsed with a warning since multiplicity never
-affects the graph.
+`order` and `solvable` are optional.  Degrees must be below
+primes.PRIME_LIMIT, the bound of exact factorization.  Parsing is strict
+by default (unknown fields are rejected); lax mode downgrades them to
+warnings.  Duplicate degrees are collapsed with a warning since
+multiplicity never affects the graph.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any, Iterable, Mapping
 
 from .duke import screen
 from .graphs import DegreeSet, PrimeGraph, bipartition_or_odd_cycle, build_graph
+from .primes import PRIME_LIMIT
 
 RECORD_FIELDS = ("name", "order", "degrees", "solvable", "source")
 
@@ -102,6 +104,8 @@ def parse_record(line: str, *, strict: bool = True) -> GroupRecord:
     for d in degrees_raw:
         if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise InvalidRecord("degrees", f"entries must be integers >= 1, got {d!r}", name)
+        if d >= PRIME_LIMIT:
+            raise InvalidRecord("degrees", f"entry {d} is not below PRIME_LIMIT = {PRIME_LIMIT}", name)
     if len(set(degrees_raw)) != len(degrees_raw):
         warnings.warn(f"record {name!r}: duplicate degrees collapsed", RecordWarning)
     if 1 not in degrees_raw:

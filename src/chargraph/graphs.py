@@ -41,7 +41,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 @dataclass(frozen=True)
 class DegreeSet:
     """A finite set of character degrees.  Always contains 1; degrees are
-    collapsed to a set because multiplicities never affect the graph."""
+    collapsed to a set because multiplicities never affect the graph.
+    Every degree is below primes.PRIME_LIMIT, so it factors exactly."""
 
     degrees: frozenset[int]
 
@@ -51,6 +52,8 @@ class DegreeSet:
         for d in self.degrees:
             if not isinstance(d, int) or d < 1:
                 raise ValueError(f"degrees must be integers >= 1, got {d!r}")
+            if d >= primes.PRIME_LIMIT:
+                raise ValueError(f"degree {d} is not below PRIME_LIMIT = {primes.PRIME_LIMIT}")
         if 1 not in self.degrees:
             raise ValueError("a degree set must contain 1")
 
@@ -68,6 +71,8 @@ class PrimeGraph:
 
     `bits` holds the upper triangle of the adjacency matrix over the sorted
     vertex order: bit _pair_bit(i, j) is set iff vertices[i] ~ vertices[j].
+    A vertex at or above primes.PRIME_LIMIT is refused by primes.is_prime
+    (ValueError) unless it has a prime factor up to 41.
     """
 
     vertices: tuple[int, ...]

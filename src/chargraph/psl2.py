@@ -34,6 +34,8 @@ class PrimePowerQ:
     def of(cls, q: int) -> "PrimePowerQ":
         if q < 4:
             raise ValueError(f"q must be >= 4, got {q}")
+        if q >= primes.PRIME_LIMIT:
+            raise ValueError(f"q = {q} is not below PRIME_LIMIT = {primes.PRIME_LIMIT}")
         decomposition = primes.prime_power(q)
         if decomposition is None:
             raise ValueError(f"{q} is not a prime power")

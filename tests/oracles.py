@@ -2,13 +2,16 @@
 
 Everything here re-derives answers from first principles: ordered-partition
 enumeration with nested-loop condition checks, try-all-colorings
-bipartiteness, divisibility double loops, Floyd-Warshall distances.  None of it shares logic with
-the library's pruned searches, so agreement is meaningful.
+bipartiteness, divisibility double loops, Floyd-Warshall distances, a
+smallest-factor sieve.  None of it shares logic with the library's pruned
+searches or its Miller-Rabin and Pollard-rho arithmetic, so agreement is
+meaningful.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 from chargraph.duke import DukePartition
 from chargraph.graphs import PrimeGraph
@@ -113,3 +116,32 @@ def floyd_warshall(g: PrimeGraph) -> dict[tuple[int, int], float]:
                 if dist[u, w] + dist[w, v] < dist[u, v]:
                     dist[u, v] = dist[u, w] + dist[w, v]
     return dist
+
+
+def smallest_factors(limit: int) -> list[int]:
+    """spf[n] = the least prime dividing n, for 2 <= n <= limit (sieve of
+    Eratosthenes); spf[n] == n exactly when n is prime."""
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def sieve_is_prime(n: int, spf: list[int]) -> bool:
+    return n >= 2 and spf[n] == n
+
+
+def sieve_factorization(n: int, spf: list[int]) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1 by repeated smallest-factor division."""
+    entries: list[tuple[int, int]] = []
+    while n > 1:
+        p = spf[n]
+        if entries and entries[-1][0] == p:
+            entries[-1] = (p, entries[-1][1] + 1)
+        else:
+            entries.append((p, 1))
+        n //= p
+    return tuple(entries)

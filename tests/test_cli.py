@@ -9,6 +9,7 @@ from chargraph.cli import FuzzStats, SplitMix64, fuzz, run
 from chargraph.corpus import bundled_corpus_path
 from chargraph.duke import screen
 from chargraph.graphs import PrimeGraph
+from chargraph.primes import PRIME_LIMIT
 
 
 def run_json(capsys, argv):
@@ -46,6 +47,12 @@ def test_screen_rejects_non_prime_vertex(capsys):
     assert run(["screen", "--edges", "4-5"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--isolated", "{}"), ("--edges", "2-{}"), ("--edges", "{}-3")])
+def test_screen_rejects_vertex_at_prime_limit(capsys, flag, value):
+    assert run(["screen", flag, value.format(PRIME_LIMIT)]) == 2
+    assert "PRIME_LIMIT" in capsys.readouterr().err
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
@@ -74,6 +81,19 @@ def test_analyze_dot_format(capsys):
 
 def test_analyze_missing_one_is_input_error(capsys):
     assert run(["analyze", "--degrees", "2,3"]) == 2
+
+
+def test_analyze_large_prime_degree(capsys):
+    # a 60-bit prime degree: trial division up to its square root would run for minutes
+    code, doc = run_json(capsys, ["analyze", "--degrees", "1,1000000000000000003"])
+    assert code == 0
+    assert doc["graph"]["vertices"] == [10**18 + 3]
+
+
+@pytest.mark.parametrize("degree", [PRIME_LIMIT, PRIME_LIMIT + 1, 2**100])
+def test_analyze_rejects_degree_at_prime_limit(capsys, degree):
+    assert run(["analyze", "--degrees", f"1,{degree}"]) == 2
+    assert "PRIME_LIMIT" in capsys.readouterr().err
 
 
 def test_analyze_screen_failure_exits_1(capsys):
@@ -107,6 +127,12 @@ def test_psl2_json(capsys):
 def test_psl2_not_prime_power(capsys):
     assert run(["psl2", "--q", "12"]) == 2
     assert "prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [PRIME_LIMIT, 2**100])
+def test_psl2_rejects_q_at_prime_limit(capsys, q):
+    assert run(["psl2", "--q", str(q)]) == 2
+    assert "PRIME_LIMIT" in capsys.readouterr().err
 
 
 def test_psl2_dot(capsys):

@@ -14,6 +14,7 @@ from chargraph.corpus import (
     verify_lines,
 )
 from chargraph.graphs import DegreeSet
+from chargraph.primes import PRIME_LIMIT
 
 
 PSL2_11 = '{"name":"PSL(2,11)","order":660,"degrees":[1,5,10,11,12],"solvable":false,"source":"psl2 formula"}'
@@ -130,6 +131,18 @@ def test_verify_lines_invalid_record_becomes_failing_entry():
     assert bad["name"] == "broken"
     assert not bad["checks"]["K0"]["pass"]
     assert bad["checks"]["K0"]["certificate"]["field"] == "degrees"
+
+
+def test_degree_at_prime_limit_is_a_failing_k0_entry():
+    big = f'{{"name":"huge","degrees":[1,{PRIME_LIMIT}],"source":"test"}}'
+    with pytest.raises(InvalidRecord) as info:
+        parse_record(big)
+    assert info.value.field == "degrees"
+    assert "PRIME_LIMIT" in str(info.value)
+    report = verify_lines([big, PSL2_11])
+    assert report.totals == {"records": 2, "records_passed": 1, "records_failed": 1}
+    k0 = report.entries[0]["checks"]["K0"]
+    assert not k0["pass"] and k0["certificate"]["field"] == "degrees"
 
 
 def test_verify_lines_malformed_raises_with_line_number():

@@ -9,7 +9,7 @@ from chargraph.graphs import (
     bipartition_or_odd_cycle,
     build_graph,
 )
-from chargraph.primes import first_primes
+from chargraph.primes import PRIME_LIMIT, first_primes
 
 from oracles import brute_force_two_colorable, check_coloring, check_odd_cycle, edge_matches_divisibility
 
@@ -44,6 +44,12 @@ def test_degree_set_requires_one():
         DegreeSet.of({2, 3})
     with pytest.raises(ValueError):
         DegreeSet.of({1, 0})
+
+
+def test_degree_set_bound():
+    assert DegreeSet.of({1, PRIME_LIMIT - 1}).sorted() == [1, PRIME_LIMIT - 1]
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        DegreeSet.of({1, PRIME_LIMIT})
 
 
 def test_build_graph_examples():
@@ -86,6 +92,13 @@ def test_vertices_must_be_primes():
         PrimeGraph((3, 2))
     with pytest.raises(ValueError):
         PrimeGraph((2, 3), bits=2)  # only one pair bit exists
+
+
+def test_vertices_below_prime_limit():
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        PrimeGraph((2, PRIME_LIMIT))
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        PrimeGraph.from_dot(f'graph G {{\n  "{PRIME_LIMIT}";\n}}\n')
 
 
 def test_no_self_loops():

@@ -15,6 +15,14 @@ def test_prime_power_q_validation():
         PrimePowerQ.of(3)
     with pytest.raises(ValueError):
         PrimePowerQ(8, 2, 2)  # 2**2 != 8
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        PrimePowerQ.of(2**100)
+
+
+def test_prime_power_q_large():
+    q = PrimePowerQ.of(1000003**2)
+    assert (q.p, q.f) == (1000003, 2)
+    assert crosscheck(q)
 
 
 @pytest.mark.parametrize(
