@@ -144,6 +144,18 @@ def _parse_degrees(text: str) -> DegreeSet:
     return DegreeSet.of(values)
 
 
+def _parse_probability(text: str) -> Fraction:
+    """`text` as an exact fraction (1/2, 0.5, 5e-1).  Fraction expands a
+    decimal exponent e into 10**|e|, so an exponent of more than four
+    digits is refused rather than left to run without bound."""
+    if sum(map(str.isdigit, text.upper().partition("E")[2])) > 4:
+        raise ValueError(f"edge probability {text!r} has an exponent of more than 4 digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"edge probability {text!r} has a zero denominator") from exc
+
+
 def _parse_graph(edges_text: str | None, isolated_text: str | None) -> PrimeGraph:
     edges = []
     if edges_text:
@@ -236,7 +248,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     stats = fuzz(
         k=args.k,
-        edge_prob=Fraction(args.edge_prob),
+        edge_prob=_parse_probability(args.edge_prob),
         trials=args.trials,
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,

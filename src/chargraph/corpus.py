@@ -79,7 +79,9 @@ def parse_record(line: str, *, strict: bool = True) -> GroupRecord:
     """
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer beyond Python's digit limit, or
+        # nesting deeper than the interpreter's recursion limit
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedRecord(f"record must be a JSON object, got {type(raw).__name__}")

@@ -12,7 +12,7 @@ finite group, which is what `screen` certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from . import primes
 from .graphs import PrimeGraph, bipartition_or_odd_cycle, _iter_bits
@@ -177,21 +177,6 @@ def verify_duke(g: PrimeGraph, partition: DukePartition) -> tuple[Violation, ...
     return tuple(violations)
 
 
-def _cliques_containing_first(masks: tuple[int, ...]) -> Iterator[int]:
-    """Bitmasks of every clique that contains vertex index 0."""
-
-    def grow(current: int, candidates: int) -> Iterator[int]:
-        yield current
-        c = candidates
-        while c:
-            low = c & -c
-            w = low.bit_length() - 1
-            c ^= low
-            yield from grow(current | low, candidates & masks[w] & ~((low << 1) - 1))
-
-    yield from grow(1, masks[0])
-
-
 def _is_clique(masks: tuple[int, ...], subset: int) -> bool:
     rest = subset
     while rest:
@@ -203,9 +188,7 @@ def _is_clique(masks: tuple[int, ...], subset: int) -> bool:
     return True
 
 
-def _cover_partition(
-    g: PrimeGraph, left: int, right: int, witness: tuple[int, int] | None = None
-) -> DukePartition | None:
+def _cover_partition(g: PrimeGraph, left: int, right: int) -> DukePartition | None:
     """The unique duke partition a clique cover (left, right) can induce.
 
     Condition C1 forces rho1 to avoid all edges into the right side while
@@ -227,41 +210,37 @@ def _cover_partition(
     if not (rho1 and rho2 and rho3 and rho4):
         return None
     to_primes = lambda m: frozenset(g.vertices[i] for i in _iter_bits(m))
-    return DukePartition(to_primes(rho1), to_primes(rho2), to_primes(rho3), to_primes(rho4), witness)
-
-
-def _lex_key(p: DukePartition) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    return (tuple(sorted(p.rho1)), tuple(sorted(p.rho2)), tuple(sorted(p.rho3)))
+    return DukePartition(to_primes(rho1), to_primes(rho2), to_primes(rho3), to_primes(rho4))
 
 
 def find_duke(g: PrimeGraph) -> DukePartition | None:
-    """Exhaustively search for a duke partition; None is a proof none exists.
+    """The lexicographically least duke partition, read off one distance-3 pair.
 
-    Any valid partition determines the clique cover (rho1 u rho2,
-    rho3 u rho4) of the vertex set, and conversely a cover determines its
-    only candidate partition (see _cover_partition), so it suffices to
-    enumerate covers: cliques through the first vertex, with a clique
-    complement.  Ties break to the lexicographically least partition
-    under (sorted rho1, sorted rho2, sorted rho3).
+    In a duke graph every rho1--rho4 pair is at distance exactly 3 (no
+    common neighbor, and rho1 - rho2 - rho3 - rho4 is a path) and every
+    other pair at distance at most 2, so the diameter is 3 and the
+    distance-3 pairs are exactly rho1 x rho4.  For the first such pair
+    (i, j), the clique sides rho1 u rho2 and rho3 u rho4 are then the
+    closed neighborhoods N[i] and N[j], and that cover forces the rest of
+    the partition (see _cover_partition).  Vertex i is the least of
+    rho1 u rho4, so putting it in rho1 gives the least partition under
+    (sorted rho1, sorted rho2, sorted rho3); the mirror is the only other
+    one.  Every step is forced, so None is a proof that no duke partition
+    exists.
     """
     n = len(g.vertices)
     if n < 4:
         raise TooSmall(f"need at least 4 vertices for four nonempty parts, got {n}")
-    full = (1 << n) - 1
-    best: DukePartition | None = None
-    best_key = None
-    for side in _cliques_containing_first(g.masks):
-        other = full ^ side
-        if other == 0 or not _is_clique(g.masks, other):
-            continue
-        for left, right in ((side, other), (other, side)):
-            candidate = _cover_partition(g, left, right)
-            if candidate is None:
-                continue
-            key = _lex_key(candidate)
-            if best_key is None or key < best_key:
-                best, best_key = candidate, key
-    return best
+    if g.diameter() != 3:
+        return None
+    i, j, _ = next(g.pairs_at_distance(3, 3))
+    masks = g.masks
+    left = masks[i] | 1 << i
+    right = masks[j] | 1 << j
+    # N[i] and N[j] are disjoint: a shared vertex would be a common neighbor.
+    if left | right != (1 << n) - 1 or not (_is_clique(masks, left) and _is_clique(masks, right)):
+        return None
+    return _cover_partition(g, left, right)
 
 
 def lemma31_holds(g: PrimeGraph) -> tuple[bool, tuple[int, int, int] | None]:
@@ -367,9 +346,12 @@ def screen(g: PrimeGraph) -> FeasibilityReport:
 
     D1: diameter at most 3.  When the diameter is exactly 3: D2 a duke
     partition exists, D3 the complement is bipartite, D4 every vertex off
-    a distance-3 pair is adjacent to one of the pair.  All diameter-3
-    checks run even after a failure, so a failing report carries every
-    certificate; any failure proves the graph is not a degree graph.
+    a distance-3 pair is adjacent to one of the pair.  D2 implies D3 (both
+    clique sides are independent in the complement) and D4 (every vertex
+    shares a clique side with one end of each distance-3 pair), so D3 and
+    D4 run only once D2 has failed; then both run, so a failing report
+    carries every certificate.  Any failure proves the graph is not a
+    degree graph.
     """
     if not g.vertices:
         raise ValueError("screen requires a nonempty graph")
@@ -383,14 +365,13 @@ def screen(g: PrimeGraph) -> FeasibilityReport:
             "pair": [g.vertices[i], g.vertices[j]],
             "distance": d,
         }
-    elif diam == 3:
-        if find_duke(g) is None:
-            i, j, _ = next(g.pairs_at_distance(3, 3))
-            reasons.append(DIAM3_NOT_DUKE)
-            certificates[DIAM3_NOT_DUKE] = {
-                "pair": [g.vertices[i], g.vertices[j]],
-                "search": "exhaustive",
-            }
+    elif diam == 3 and find_duke(g) is None:
+        i, j, _ = next(g.pairs_at_distance(3, 3))
+        reasons.append(DIAM3_NOT_DUKE)
+        certificates[DIAM3_NOT_DUKE] = {
+            "pair": [g.vertices[i], g.vertices[j]],
+            "search": "exhaustive",
+        }
         certificate = bipartition_or_odd_cycle(g.complement())
         if not certificate.is_bipartite:
             assert certificate.odd_cycle is not None

@@ -3,9 +3,9 @@
 Everything here re-derives answers from first principles: ordered-partition
 enumeration with nested-loop condition checks, try-all-colorings
 bipartiteness, divisibility double loops, Floyd-Warshall distances, a
-smallest-factor sieve.  None of it shares logic with the library's pruned
-searches or its Miller-Rabin and Pollard-rho arithmetic, so agreement is
-meaningful.
+smallest-factor sieve.  None of it shares logic with the library's
+neighbourhood-derived duke partition, bitmask distances, or Miller-Rabin
+and Pollard-rho arithmetic, so agreement is meaningful.
 """
 
 from __future__ import annotations

@@ -188,6 +188,14 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_verify_deeply_nested_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: invalid JSON") and err.count("\n") == 1
+
+
 def test_verify_missing_file_exits_2(tmp_path):
     assert run(["verify", str(tmp_path / "absent.jsonl")]) == 2
 
@@ -261,6 +269,25 @@ def test_fuzz_cli_rejects_bad_params(capsys):
     assert run(["fuzz", "--k", "3", "--edge-prob", "1/2", "--trials", "1", "--seed", "1"]) == 2
     assert run(["fuzz", "--k", "5", "--edge-prob", "0", "--trials", "1", "--seed", "1"]) == 2
     assert run(["fuzz", "--k", "5", "--edge-prob", "x", "--trials", "1", "--seed", "1"]) == 2
+    assert run(["fuzz", "--k", "5", "--edge-prob", "1/0", "--trials", "1", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("1/0", "zero denominator"), ("0/0", "zero denominator"), ("1e-100000", "exponent")],
+)
+def test_fuzz_cli_bad_edge_prob_is_a_one_line_error(capsys, text, reason):
+    argv = ["fuzz", "--k", "7", "--edge-prob", text, "--trials", "1", "--seed", "1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+
+def test_fuzz_cli_accepts_a_four_digit_exponent(capsys):
+    code, doc = run_json(
+        capsys, ["fuzz", "--k", "5", "--edge-prob", "1e-9999", "--trials", "2", "--seed", "1"]
+    )
+    assert code == 0 and doc["by_diameter"] == {"0": 2}
 
 
 def test_fuzz_cli_stats_document(capsys, tmp_path):

@@ -53,6 +53,21 @@ def test_parse_malformed_line():
         parse_record('["a", "list"]')
 
 
+def test_parse_unreadable_json_is_malformed():
+    # nesting past the recursion limit and an integer past Python's digit
+    # limit are refused by the decoder like any other syntax error
+    with pytest.raises(MalformedRecord, match="invalid JSON"):
+        parse_record("[" * 200_000)
+    with pytest.raises(MalformedRecord, match="invalid JSON"):
+        parse_record('{"order": ' + "1" * 5000 + "}")
+
+
+def test_verify_lines_deeply_nested_line_raises_with_line_number():
+    with pytest.raises(MalformedRecord) as info:
+        verify_lines([PSL2_11, "[" * 200_000])
+    assert str(info.value).startswith("line 2: invalid JSON")
+
+
 def test_parse_field_errors():
     with pytest.raises(InvalidRecord):
         parse_record('{"name":"","degrees":[1],"source":"s"}')

@@ -179,6 +179,10 @@ def test_find_duke_output_verifies(g):
         # the two clique sides are independent in the complement, so duke
         # graphs always have a 2-colorable complement
         assert bipartition_or_odd_cycle(g.complement()).is_bipartite
+        # screen checks D3 and D4 only when no partition exists, which
+        # rests on every duke graph having diameter 3 and satisfying D4
+        assert g.diameter() == 3
+        assert lemma31_holds(g)[0]
 
 
 # -- lemma31_holds ----------------------------------------------------------------
@@ -215,8 +219,16 @@ def test_synthesize_rejects_bad_patterns():
 
 
 @st.composite
-def synth_inputs(draw):
-    sizes = tuple(draw(st.integers(1, 3)) for _ in range(4))
+def sizes_summing_to(draw, lo, hi):
+    """Four positive part sizes with a total from lo to hi."""
+    total = draw(st.integers(lo, hi))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=3, max_size=3)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@st.composite
+def synth_inputs(draw, sizes=st.tuples(*[st.integers(1, 3)] * 4)):
+    sizes = draw(sizes)
     b, c = sizes[1], sizes[2]
     cells = [(i, j) for i in range(b) for j in range(c)]
     chosen = set(draw(st.sets(st.sampled_from(cells), min_size=1)))
@@ -242,6 +254,23 @@ def test_synthesized_graphs_are_duke_and_screen_clean(data):
     cert = bipartition_or_odd_cycle(g.complement())
     assert cert.is_bipartite
     assert set(cert.color_classes()) == {part.rho1 | part.rho2, part.rho3 | part.rho4}
+
+
+def _lex_least_orientation(part):
+    mirror = (part.rho4, part.rho3, part.rho2, part.rho1)
+    return min(part.parts, mirror, key=lambda parts: [sorted(p) for p in parts[:3]])
+
+
+@settings(max_examples=200)
+@given(synth_inputs(sizes=sizes_summing_to(5, 10)))
+def test_find_duke_recovers_synthesized_partition(data):
+    # beyond the six vertices of the brute-force oracle: a duke graph has
+    # exactly two duke partitions, the synthesized one and its mirror
+    sizes, pattern = data
+    g, part = synthesize_duke(sizes, pattern)
+    found = find_duke(g)
+    assert found is not None
+    assert found.parts == _lex_least_orientation(part)
 
 
 # -- screen -------------------------------------------------------------------------
