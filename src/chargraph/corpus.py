@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping
 
-from .duke import screen
+from .duke import DIAMETER_EXCEEDS_3, screen
 from .graphs import DegreeSet, PrimeGraph, bipartition_or_odd_cycle, build_graph
 from .primes import PRIME_LIMIT
 
@@ -168,26 +168,25 @@ def _graph_summary(g: PrimeGraph) -> dict[str, Any]:
 def _check_record(record: GroupRecord) -> dict[str, Any]:
     """Entry for one valid record: graph summary plus K1/K2/K3 verdicts.
 
-    K1: diameter <= 3, always.  K2: when the diameter is exactly 3, the
-    full screen must pass.  K3: records flagged solvable must have a
-    bipartite complement, whatever the diameter.
+    K1: diameter <= 3, always; a failure carries the screen's D1
+    certificate.  K2: when the diameter is exactly 3, the full screen must
+    pass.  K3: records flagged solvable must have a bipartite complement,
+    whatever the diameter.  A record whose degrees have more prime
+    divisors than a graph can hold fails K0 instead.
     """
-    g = build_graph(record.degrees)
+    try:
+        g = build_graph(record.degrees)
+    except ValueError as exc:
+        return _invalid_entry(InvalidRecord("degrees", str(exc)), record.name)
     summary = _graph_summary(g)
     checks: dict[str, Any] = {}
 
     diam = summary["diameter"]
-    if diam is not None and diam > 3:
-        i, j, d = next(g.pairs_at_distance(4))
-        checks["K1"] = {
-            "pass": False,
-            "certificate": {"pair": [g.vertices[i], g.vertices[j]], "distance": d},
-        }
-    else:
-        checks["K1"] = {"pass": True, "certificate": None}
+    report = screen(g) if diam is not None and diam >= 3 else None
+    too_far = report.certificates.get(DIAMETER_EXCEEDS_3) if report is not None else None
+    checks["K1"] = {"pass": too_far is None, "certificate": too_far}
 
-    if diam == 3:
-        report = screen(g)
+    if report is not None and diam == 3:
         checks["K2"] = {
             "pass": report.passed,
             "certificate": None if report.passed else report.to_json_dict(),
@@ -205,9 +204,9 @@ def _check_record(record: GroupRecord) -> dict[str, Any]:
     return {"name": record.name, "summary": summary, "checks": checks}
 
 
-def _invalid_entry(error: InvalidRecord, position: int) -> dict[str, Any]:
+def _invalid_entry(error: InvalidRecord, name: str) -> dict[str, Any]:
     return {
-        "name": error.name or f"<record {position}>",
+        "name": name,
         "summary": None,
         "checks": {
             "K0": {
@@ -255,7 +254,7 @@ def verify_lines(lines: Iterable[str], *, strict: bool = True) -> VerdictReport:
         except MalformedRecord as exc:
             raise MalformedRecord(f"line {lineno}: {exc}") from exc
         except InvalidRecord as exc:
-            entries.append(_invalid_entry(exc, lineno))
+            entries.append(_invalid_entry(exc, exc.name or f"<record {lineno}>"))
         else:
             entries.append(_check_record(record))
     return _assemble(entries)

@@ -188,12 +188,16 @@ def _is_clique(masks: tuple[int, ...], subset: int) -> bool:
     return True
 
 
-def _cover_partition(g: PrimeGraph, left: int, right: int) -> DukePartition | None:
+def _cover_partition(g: PrimeGraph, left: int, right: int) -> DukePartition:
     """The unique duke partition a clique cover (left, right) can induce.
 
     Condition C1 forces rho1 to avoid all edges into the right side while
     C3 forces every other left vertex to have one, so rho1 is exactly the
     left vertices with no right neighbor; dually for rho4.
+
+    With the sides N[i] and N[j] of a distance-3 pair (i, j), no part is
+    empty: i has no neighbor in N[j], so i is in rho1 and likewise j in
+    rho4, and a shortest path i - a - b - j puts a in rho2 and b in rho3.
     """
     masks = g.masks
     rho1 = rho2 = rho3 = rho4 = 0
@@ -207,8 +211,6 @@ def _cover_partition(g: PrimeGraph, left: int, right: int) -> DukePartition | No
             rho3 |= 1 << i
         else:
             rho4 |= 1 << i
-    if not (rho1 and rho2 and rho3 and rho4):
-        return None
     to_primes = lambda m: frozenset(g.vertices[i] for i in _iter_bits(m))
     return DukePartition(to_primes(rho1), to_primes(rho2), to_primes(rho3), to_primes(rho4))
 
@@ -226,7 +228,8 @@ def find_duke(g: PrimeGraph) -> DukePartition | None:
     rho1 u rho4, so putting it in rho1 gives the least partition under
     (sorted rho1, sorted rho2, sorted rho3); the mirror is the only other
     one.  Every step is forced, so None is a proof that no duke partition
-    exists.
+    exists.  It comes in exactly three cases: the diameter is not 3,
+    N[i] u N[j] misses a vertex, or one of N[i], N[j] is not a clique.
     """
     n = len(g.vertices)
     if n < 4:

@@ -183,7 +183,7 @@ class PrimeGraph:
             for j in range(i + 1, len(self.vertices)):
                 if self.bits >> _pair_bit(i, j) & 1:
                     out.append((self.vertices[i], self.vertices[j]))
-        return sorted(out)
+        return out
 
     def edge_count(self) -> int:
         return self.bits.bit_count()
@@ -244,15 +244,13 @@ class PrimeGraph:
 
     def pairs_at_distance(self, lo: int, hi: int = MAX_VERTICES) -> Iterator[tuple[int, int, int]]:
         """Index pairs (i, j, d), i < j, at a finite distance lo <= d <= hi,
-        in lexicographic (i, j) order."""
+        in lexicographic (i, j) order: per source, the bits of one ring."""
         for i, levels in enumerate(self._levels):
-            above = -2 << i
-            hits = sorted(
-                (j, d)
-                for d in range(lo, min(hi + 1, len(levels)))
-                for j in _iter_bits(levels[d] & above)
-            )
-            for j, d in hits:
+            ring = reduce(or_, levels[lo : hi + 1], 0) & -2 << i
+            for j in _iter_bits(ring):
+                d = lo
+                while not levels[d] >> j & 1:
+                    d += 1
                 yield i, j, d
 
     def is_complete(self) -> bool:

@@ -78,13 +78,11 @@ def lemma24_graph(q: "PrimePowerQ | int") -> PrimeGraph:
     pq = _as_q(q)
     if pq.q == 5:
         return PrimeGraph((2, 3, 5))
-    if pq.p == 2:
-        minus = primes.prime_set(pq.q - 1)
-        plus = primes.prime_set(pq.q + 1)
-        edges = list(combinations(sorted(minus), 2)) + list(combinations(sorted(plus), 2))
-        return PrimeGraph.from_edges(edges, isolated={2} | minus | plus)
     minus = primes.prime_set(pq.q - 1)
     plus = primes.prime_set(pq.q + 1)
+    if pq.p == 2:
+        edges = list(combinations(sorted(minus), 2)) + list(combinations(sorted(plus), 2))
+        return PrimeGraph.from_edges(edges, isolated={2} | minus | plus)
     body = minus | plus
     if _is_power_of_two(pq.q - 1) or _is_power_of_two(pq.q + 1):
         edges = list(combinations(sorted(body), 2))

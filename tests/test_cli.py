@@ -9,7 +9,7 @@ from chargraph.cli import FuzzStats, SplitMix64, fuzz, run
 from chargraph.corpus import bundled_corpus_path
 from chargraph.duke import screen
 from chargraph.graphs import PrimeGraph
-from chargraph.primes import PRIME_LIMIT
+from chargraph.primes import PRIME_LIMIT, first_primes
 
 
 def run_json(capsys, argv):
@@ -179,6 +179,21 @@ def test_verify_failing_record_exits_1(tmp_path, capsys):
     code, doc = run_json(capsys, ["verify", str(path)])
     assert code == 1
     assert doc["entries"][0]["name"] == "bad"
+
+
+def test_verify_wide_record_is_checked_in_band(tmp_path, capsys):
+    # 65 distinct primes exceed the 64-vertex graph: a K0 entry, not an abort
+    wide = json.dumps({"name": "wide", "degrees": [1, *first_primes(65)], "source": "t"})
+    psl = '{"name":"PSL(2,11)","degrees":[1,5,10,11,12],"source":"t"}'
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([psl, wide, psl]) + "\n", encoding="utf-8")
+    code, doc = run_json(capsys, ["verify", str(path)])
+    assert code == 1
+    assert doc["totals"] == {"records": 3, "records_passed": 2, "records_failed": 1}
+    k0 = doc["entries"][1]["checks"]["K0"]
+    assert doc["entries"][1]["name"] == "wide" and not k0["pass"]
+    assert k0["certificate"]["field"] == "degrees"
+    assert "at most 64 vertices supported, got 65" in k0["certificate"]["message"]
 
 
 def test_verify_malformed_file_exits_2(tmp_path, capsys):

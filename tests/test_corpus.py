@@ -14,7 +14,7 @@ from chargraph.corpus import (
     verify_lines,
 )
 from chargraph.graphs import DegreeSet
-from chargraph.primes import PRIME_LIMIT
+from chargraph.primes import PRIME_LIMIT, first_primes
 
 
 PSL2_11 = '{"name":"PSL(2,11)","order":660,"degrees":[1,5,10,11,12],"solvable":false,"source":"psl2 formula"}'
@@ -158,6 +158,16 @@ def test_degree_at_prime_limit_is_a_failing_k0_entry():
     assert report.totals == {"records": 2, "records_passed": 1, "records_failed": 1}
     k0 = report.entries[0]["checks"]["K0"]
     assert not k0["pass"] and k0["certificate"]["field"] == "degrees"
+
+
+def test_degrees_with_more_primes_than_vertices_are_a_failing_k0_entry():
+    wide = GroupRecord(name="wide", degrees=DegreeSet.of([1, *first_primes(65)]), source="test")
+    report = verify_corpus([wide])
+    assert report.totals == {"records": 1, "records_passed": 0, "records_failed": 1}
+    k0 = report.entries[0]["checks"]["K0"]
+    assert not k0["pass"] and k0["certificate"]["field"] == "degrees"
+    assert "at most 64 vertices" in k0["certificate"]["message"]
+    assert report.entries[0]["name"] == "wide"
 
 
 def test_verify_lines_malformed_raises_with_line_number():

@@ -12,7 +12,7 @@ from chargraph.primes import first_primes
 from oracles import floyd_warshall
 from test_graphs import prime_graphs
 
-BANDS = ((1, 1), (2, 2), (3, 3), (4, MAX_VERTICES), (1, MAX_VERTICES), (2, 3), (3, 2))
+BANDS = ((0, 0), (0, MAX_VERTICES), (1, 1), (2, 2), (3, 3), (4, MAX_VERTICES), (1, MAX_VERTICES), (2, 3), (3, 2))
 
 
 def check_against_oracle(g: PrimeGraph) -> None:
