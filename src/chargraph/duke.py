@@ -90,6 +90,43 @@ class Violation:
     witness: tuple[int, ...]
 
 
+def _distance_parts(g: PrimeGraph, p: int, q: int) -> tuple[int, int, int, int]:
+    """Index masks of the vertices at distance 3 and 2 from p, then at
+    distance 2 and 3 from q, for a pair (p, q) of indices at distance 3."""
+    from_p, from_q = g._levels[p], g._levels[q]
+    return from_p[3], from_p[2], from_q[2], from_q[3]
+
+
+def _partition(
+    g: PrimeGraph, parts: tuple[int, int, int, int], witness: tuple[int, int] | None = None
+) -> DukePartition:
+    r1, r2, r3, r4 = (frozenset(g.vertices[i] for i in _iter_bits(m)) for m in parts)
+    return DukePartition(r1, r2, r3, r4, witness=witness)
+
+
+def _first_cross_edge(masks: tuple[int, ...], side: int, other: int) -> tuple[int, int] | None:
+    """The least edge (a, b) with a in side and b in other."""
+    for a in _iter_bits(side):
+        hit = masks[a] & other
+        if hit:
+            return a, (hit & -hit).bit_length() - 1
+    return None
+
+
+def _first_unmatched(masks: tuple[int, ...], side: int, other: int) -> tuple[int] | None:
+    """The least (a,) with a in side and no neighbor in other."""
+    return next(((a,) for a in _iter_bits(side) if not masks[a] & other), None)
+
+
+def _first_non_edge(masks: tuple[int, ...], subset: int) -> tuple[int, int] | None:
+    """The least pair a < b of subset that is not an edge; None for a clique."""
+    for a in _iter_bits(subset):
+        miss = subset & ~masks[a] & -2 << a
+        if miss:
+            return a, (miss & -miss).bit_length() - 1
+    return None
+
+
 def witness_partition(g: PrimeGraph, p: int, q: int) -> DukePartition:
     """Partition the vertices by their distances to a distance-3 pair (p, q).
 
@@ -100,21 +137,16 @@ def witness_partition(g: PrimeGraph, p: int, q: int) -> DukePartition:
     """
     if g.distance(p, q) != 3:
         raise NotDistance3(f"d({p}, {q}) = {g.distance(p, q)}, need exactly 3")
-    from_p = g.distances_from(p)
-    from_q = g.distances_from(q)
-    rho1 = {x for x in g.vertices if from_p[x] == 3}
-    rho2 = {x for x in g.vertices if from_p[x] == 2}
-    rho3 = {x for x in g.vertices if from_q[x] == 2}
-    rho4 = {x for x in g.vertices if from_q[x] == 3}
-    for x in g.vertices:
-        hits = sum(x in part for part in (rho1, rho2, rho3, rho4))
-        if hits == 0:
-            raise NotAPartition(x, "lies in none of the four distance classes")
-        if hits > 1:
-            raise NotAPartition(x, "lies in more than one distance class")
-    return DukePartition(
-        frozenset(rho1), frozenset(rho2), frozenset(rho3), frozenset(rho4), witness=(p, q)
-    )
+    parts = r1, r2, r3, r4 = _distance_parts(g, g.index[p], g.index[q])
+    # Distinct distances from one end keep r1, r2 apart and r3, r4 apart.
+    missed = ((1 << len(g.vertices)) - 1) & ~(r1 | r2 | r3 | r4)
+    bad = missed | (r1 | r2) & (r3 | r4)
+    if bad:
+        x = (bad & -bad).bit_length() - 1
+        if missed >> x & 1:
+            raise NotAPartition(g.vertices[x], "lies in none of the four distance classes")
+        raise NotAPartition(g.vertices[x], "lies in more than one distance class")
+    return _partition(g, parts, witness=(p, q))
 
 
 def verify_duke(g: PrimeGraph, partition: DukePartition) -> tuple[Violation, ...]:
@@ -128,7 +160,6 @@ def verify_duke(g: PrimeGraph, partition: DukePartition) -> tuple[Violation, ...
       C4  rho1 u rho2 induces a complete subgraph
       C5  rho3 u rho4 induces a complete subgraph
     """
-    r1, r2, r3, r4 = partition.parts
     universe = partition.vertex_set()
     for x in g.vertices:
         if x not in universe:
@@ -137,82 +168,20 @@ def verify_duke(g: PrimeGraph, partition: DukePartition) -> tuple[Violation, ...
         if x not in g.index:
             raise NotAPartition(x, "is not a vertex of the graph")
 
-    violations: list[Violation] = []
-
-    def cross_edge(side_a: frozenset[int], side_b: frozenset[int]) -> tuple[int, int] | None:
-        for a in sorted(side_a):
-            for b in sorted(side_b):
-                if g.adjacent(a, b):
-                    return (a, b)
-        return None
-
-    hit = cross_edge(r1, r3 | r4)
-    if hit:
-        violations.append(Violation("C1", hit))
-    hit = cross_edge(r4, r1 | r2)
-    if hit:
-        violations.append(Violation("C2", hit))
-    uncovered = next(
-        (x for x in sorted(r2) if not any(g.adjacent(x, y) for y in r3)),
-        None,
-    ) or next(
-        (x for x in sorted(r3) if not any(g.adjacent(x, y) for y in r2)),
-        None,
-    )
-    if uncovered is not None:
-        violations.append(Violation("C3", (uncovered,)))
-    for label, side in (("C4", r1 | r2), ("C5", r3 | r4)):
-        ordered = sorted(side)
-        missing = next(
-            (
-                (a, b)
-                for i, a in enumerate(ordered)
-                for b in ordered[i + 1 :]
-                if not g.adjacent(a, b)
-            ),
-            None,
-        )
-        if missing:
-            violations.append(Violation(label, missing))
-    return tuple(violations)
-
-
-def _is_clique(masks: tuple[int, ...], subset: int) -> bool:
-    rest = subset
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        if rest & ~masks[v]:
-            return False
-    return True
-
-
-def _cover_partition(g: PrimeGraph, left: int, right: int) -> DukePartition:
-    """The unique duke partition a clique cover (left, right) can induce.
-
-    Condition C1 forces rho1 to avoid all edges into the right side while
-    C3 forces every other left vertex to have one, so rho1 is exactly the
-    left vertices with no right neighbor; dually for rho4.
-
-    With the sides N[i] and N[j] of a distance-3 pair (i, j), no part is
-    empty: i has no neighbor in N[j], so i is in rho1 and likewise j in
-    rho4, and a shortest path i - a - b - j puts a in rho2 and b in rho3.
-    """
     masks = g.masks
-    rho1 = rho2 = rho3 = rho4 = 0
-    for i in _iter_bits(left):
-        if masks[i] & right:
-            rho2 |= 1 << i
-        else:
-            rho1 |= 1 << i
-    for i in _iter_bits(right):
-        if masks[i] & left:
-            rho3 |= 1 << i
-        else:
-            rho4 |= 1 << i
-    to_primes = lambda m: frozenset(g.vertices[i] for i in _iter_bits(m))
-    return DukePartition(to_primes(rho1), to_primes(rho2), to_primes(rho3), to_primes(rho4))
+    m1, m2, m3, m4 = (sum(1 << g.index[x] for x in part) for part in partition.parts)
+    witnesses = (
+        ("C1", _first_cross_edge(masks, m1, m3 | m4)),
+        ("C2", _first_cross_edge(masks, m4, m1 | m2)),
+        ("C3", _first_unmatched(masks, m2, m3) or _first_unmatched(masks, m3, m2)),
+        ("C4", _first_non_edge(masks, m1 | m2)),
+        ("C5", _first_non_edge(masks, m3 | m4)),
+    )
+    return tuple(
+        Violation(label, tuple(g.vertices[i] for i in hit))
+        for label, hit in witnesses
+        if hit is not None
+    )
 
 
 def find_duke(g: PrimeGraph) -> DukePartition | None:
@@ -223,13 +192,18 @@ def find_duke(g: PrimeGraph) -> DukePartition | None:
     other pair at distance at most 2, so the diameter is 3 and the
     distance-3 pairs are exactly rho1 x rho4.  For the first such pair
     (i, j), the clique sides rho1 u rho2 and rho3 u rho4 are then the
-    closed neighborhoods N[i] and N[j], and that cover forces the rest of
-    the partition (see _cover_partition).  Vertex i is the least of
-    rho1 u rho4, so putting it in rho1 gives the least partition under
-    (sorted rho1, sorted rho2, sorted rho3); the mirror is the only other
-    one.  Every step is forced, so None is a proof that no duke partition
-    exists.  It comes in exactly three cases: the diameter is not 3,
-    N[i] u N[j] misses a vertex, or one of N[i], N[j] is not a clique.
+    closed neighborhoods N[i] and N[j].  That cover forces the rest: a
+    vertex of N[i] is at distance 2 from j if it has a neighbor in N[j]
+    (C3 puts it in rho2) and at distance 3 if not (C1 puts it in rho1),
+    and dually for N[j].  So, like witness_partition, find_duke reads the
+    partition off the same distance frontiers: rho1 and rho2 at distance
+    3 and 2 from j, rho3 and rho4 at distance 2 and 3 from i.  Vertex i
+    is the least of rho1 u rho4, so putting it in rho1 gives the least
+    partition under (sorted rho1, sorted rho2, sorted rho3); the mirror
+    is the only other one.  Every step is forced, so None is a proof
+    that no duke partition exists.  It comes in exactly three cases: the
+    diameter is not 3, N[i] u N[j] misses a vertex, or one of N[i], N[j]
+    is not a clique.
     """
     n = len(g.vertices)
     if n < 4:
@@ -241,9 +215,9 @@ def find_duke(g: PrimeGraph) -> DukePartition | None:
     left = masks[i] | 1 << i
     right = masks[j] | 1 << j
     # N[i] and N[j] are disjoint: a shared vertex would be a common neighbor.
-    if left | right != (1 << n) - 1 or not (_is_clique(masks, left) and _is_clique(masks, right)):
+    if left | right != (1 << n) - 1 or _first_non_edge(masks, left) or _first_non_edge(masks, right):
         return None
-    return _cover_partition(g, left, right)
+    return _partition(g, _distance_parts(g, j, i))
 
 
 def lemma31_holds(g: PrimeGraph) -> tuple[bool, tuple[int, int, int] | None]:

@@ -201,16 +201,13 @@ class PrimeGraph:
 
     def induced(self, sub: Iterable[int]) -> "PrimeGraph":
         """The induced subgraph on a subset of the vertices."""
-        subset = sorted(set(sub))
-        for v in subset:
-            self._require_vertex(v)
-        old = [self.index[v] for v in subset]
+        old = [self._require_vertex(v) for v in sorted(set(sub))]
         bits = 0
-        for a in range(len(subset)):
-            for b in range(a + 1, len(subset)):
-                if self.bits >> _pair_bit(old[a], old[b]) & 1:
+        for b, row in enumerate(self.masks[i] for i in old):
+            for a in range(b):
+                if row >> old[a] & 1:
                     bits |= 1 << _pair_bit(a, b)
-        return PrimeGraph(tuple(subset), bits)
+        return PrimeGraph(tuple(self.vertices[i] for i in old), bits)
 
     def components(self) -> list[frozenset[int]]:
         """Connected components as prime sets, ordered by smallest member."""
@@ -244,7 +241,10 @@ class PrimeGraph:
 
     def pairs_at_distance(self, lo: int, hi: int = MAX_VERTICES) -> Iterator[tuple[int, int, int]]:
         """Index pairs (i, j, d), i < j, at a finite distance lo <= d <= hi,
-        in lexicographic (i, j) order: per source, the bits of one ring."""
+        in lexicographic (i, j) order: per source, the bits of one ring.
+        Raises ValueError for lo < 0."""
+        if lo < 0:
+            raise ValueError(f"lo must be >= 0, got {lo}")
         for i, levels in enumerate(self._levels):
             ring = reduce(or_, levels[lo : hi + 1], 0) & -2 << i
             for j in _iter_bits(ring):

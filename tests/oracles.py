@@ -3,9 +3,12 @@
 Everything here re-derives answers from first principles: ordered-partition
 enumeration with nested-loop condition checks, try-all-colorings
 bipartiteness, divisibility double loops, Floyd-Warshall distances, a
-smallest-factor sieve.  None of it shares logic with the library's
-neighbourhood-derived duke partition, bitmask distances, or Miller-Rabin
-and Pollard-rho arithmetic, so agreement is meaningful.
+smallest-factor sieve, and set-based versions of witness_partition,
+verify_duke and induced that scan vertices and pairs through
+g.distances_from and g.adjacent.  None of it shares logic with the
+library's neighbourhood-derived duke partition, bitmask distances and
+first-witness scans, or Miller-Rabin and Pollard-rho arithmetic, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 from itertools import product
 from math import isqrt
 
-from chargraph.duke import DukePartition
-from chargraph.graphs import PrimeGraph
+from chargraph.duke import DukePartition, NotAPartition, NotDistance3, Violation
+from chargraph.graphs import PrimeGraph, _pair_bit
 
 
 def duke_conditions_hold(g: PrimeGraph, parts: list[list[int]]) -> bool:
@@ -60,6 +63,93 @@ def brute_force_find_duke(g: PrimeGraph) -> DukePartition | None:
             best_key = key
             best = DukePartition(*(frozenset(p) for p in parts))
     return best
+
+
+def set_witness_partition(g: PrimeGraph, p: int, q: int) -> DukePartition:
+    """witness_partition by distance dicts and per-vertex membership counts."""
+    if g.distance(p, q) != 3:
+        raise NotDistance3(f"d({p}, {q}) = {g.distance(p, q)}, need exactly 3")
+    from_p = g.distances_from(p)
+    from_q = g.distances_from(q)
+    rho1 = {x for x in g.vertices if from_p[x] == 3}
+    rho2 = {x for x in g.vertices if from_p[x] == 2}
+    rho3 = {x for x in g.vertices if from_q[x] == 2}
+    rho4 = {x for x in g.vertices if from_q[x] == 3}
+    for x in g.vertices:
+        hits = sum(x in part for part in (rho1, rho2, rho3, rho4))
+        if hits == 0:
+            raise NotAPartition(x, "lies in none of the four distance classes")
+        if hits > 1:
+            raise NotAPartition(x, "lies in more than one distance class")
+    return DukePartition(
+        frozenset(rho1), frozenset(rho2), frozenset(rho3), frozenset(rho4), witness=(p, q)
+    )
+
+
+def set_verify_duke(g: PrimeGraph, partition: DukePartition) -> tuple[Violation, ...]:
+    """verify_duke by sorted nested scans over g.adjacent."""
+    r1, r2, r3, r4 = partition.parts
+    universe = partition.vertex_set()
+    for x in g.vertices:
+        if x not in universe:
+            raise NotAPartition(x, "is missing from the partition")
+    for x in sorted(universe):
+        if x not in g.index:
+            raise NotAPartition(x, "is not a vertex of the graph")
+
+    violations: list[Violation] = []
+
+    def cross_edge(side_a, side_b):
+        for a in sorted(side_a):
+            for b in sorted(side_b):
+                if g.adjacent(a, b):
+                    return (a, b)
+        return None
+
+    hit = cross_edge(r1, r3 | r4)
+    if hit:
+        violations.append(Violation("C1", hit))
+    hit = cross_edge(r4, r1 | r2)
+    if hit:
+        violations.append(Violation("C2", hit))
+    uncovered = next(
+        (x for x in sorted(r2) if not any(g.adjacent(x, y) for y in r3)),
+        None,
+    ) or next(
+        (x for x in sorted(r3) if not any(g.adjacent(x, y) for y in r2)),
+        None,
+    )
+    if uncovered is not None:
+        violations.append(Violation("C3", (uncovered,)))
+    for label, side in (("C4", r1 | r2), ("C5", r3 | r4)):
+        ordered = sorted(side)
+        missing = next(
+            (
+                (a, b)
+                for i, a in enumerate(ordered)
+                for b in ordered[i + 1 :]
+                if not g.adjacent(a, b)
+            ),
+            None,
+        )
+        if missing:
+            violations.append(Violation(label, missing))
+    return tuple(violations)
+
+
+def set_induced(g: PrimeGraph, sub) -> PrimeGraph:
+    """induced by a double loop over the adjacency triangle `bits`."""
+    subset = sorted(set(sub))
+    for v in subset:
+        if v not in g.index:
+            raise ValueError(f"{v} is not a vertex of this graph")
+    old = [g.index[v] for v in subset]
+    bits = 0
+    for a in range(len(subset)):
+        for b in range(a + 1, len(subset)):
+            if g.bits >> _pair_bit(old[a], old[b]) & 1:
+                bits |= 1 << _pair_bit(a, b)
+    return PrimeGraph(tuple(subset), bits)
 
 
 def brute_force_two_colorable(g: PrimeGraph) -> bool:

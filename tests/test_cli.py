@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chargraph
 from chargraph.cli import FuzzStats, SplitMix64, fuzz, run
 from chargraph.corpus import bundled_corpus_path
 from chargraph.duke import screen
@@ -329,10 +332,14 @@ def test_unknown_flag_exits_2():
 
 
 def test_module_entry_point():
+    # the child does not inherit pytest's `pythonpath`, so point it at the
+    # package this test imported, installed or not
+    src = str(Path(chargraph.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "chargraph", "psl2", "--q", "9"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["crosscheck"] is True

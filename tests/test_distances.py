@@ -4,6 +4,7 @@ most five vertices, plus a Hypothesis sweep up to ten."""
 
 import math
 
+import pytest
 from hypothesis import given
 
 from chargraph.graphs import MAX_VERTICES, UNREACHABLE, PrimeGraph
@@ -60,3 +61,9 @@ def test_pairs_cross_no_component():
     g = PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7), (11, 13)])
     assert list(g.pairs_at_distance(1)) == [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1), (1, 3, 2), (2, 3, 1), (4, 5, 1)]
     assert g.distance(2, 13) == UNREACHABLE
+
+
+def test_pairs_refuse_a_negative_lower_bound():
+    g = PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7)])
+    with pytest.raises(ValueError, match="lo must be >= 0"):
+        list(g.pairs_at_distance(-1, 1))

@@ -22,7 +22,14 @@ from chargraph.duke import (
 from chargraph.graphs import PrimeGraph, bipartition_or_odd_cycle
 from chargraph.primes import first_primes
 
-from oracles import brute_force_find_duke, check_odd_cycle, duke_conditions_hold
+from oracles import (
+    brute_force_find_duke,
+    check_odd_cycle,
+    duke_conditions_hold,
+    set_induced,
+    set_verify_duke,
+    set_witness_partition,
+)
 
 
 def path4():
@@ -142,6 +149,47 @@ def test_verify_duke_rejects_non_partition():
     part = DukePartition(frozenset({2}), frozenset({3}), frozenset({5}), frozenset({7}))
     with pytest.raises(NotAPartition):
         verify_duke(PrimeGraph.from_edges([(2, 3)], isolated=[5, 7, 11]), part)
+
+
+# -- the mask layer against the set-based oracles ---------------------------------
+
+
+def outcome(f, *args):
+    """The return value, or the type, message and vertex of the ValueError raised."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "vertex", None)
+
+
+@st.composite
+def graphs_and_splits(draw):
+    """A graph on 4 to 10 vertices, a pool of its vertices plus up to two
+    primes off the graph, and a four-way split of the pool with every part
+    nonempty that may also leave some of the pool out."""
+    g = draw(prime_graphs(min_vertices=4, max_vertices=10))
+    pool = first_primes(len(g.vertices) + draw(st.integers(0, 2)))
+    top = draw(st.sampled_from([3, 4]))  # label 4 leaves a vertex out
+    labels = draw(st.lists(st.integers(0, top), min_size=len(pool), max_size=len(pool)))
+    for part, at in enumerate(draw(st.permutations(range(len(pool))))[:4]):
+        labels[at] = part
+    parts = (frozenset(v for v, label in zip(pool, labels) if label == part) for part in range(4))
+    return g, pool, DukePartition(*parts)
+
+
+@settings(max_examples=300)
+@given(graphs_and_splits())
+def test_mask_layer_matches_set_oracles(data):
+    g, pool, partition = data
+    assert outcome(verify_duke, g, partition) == outcome(set_verify_duke, g, partition)
+    for p in pool:
+        for q in pool:
+            part = outcome(witness_partition, g, p, q)
+            assert part == outcome(set_witness_partition, g, p, q)
+            if isinstance(part, DukePartition):
+                assert verify_duke(g, part) == set_verify_duke(g, part)
+    for sub in (partition.rho1 | partition.rho3, partition.vertex_set()):
+        assert outcome(g.induced, sub) == outcome(set_induced, g, sub)
 
 
 # -- find_duke -------------------------------------------------------------------
