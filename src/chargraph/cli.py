@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -22,24 +23,64 @@ from .graphs import DegreeSet, PrimeGraph, build_graph
 from .primes import first_primes
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# Lane carry byte 0 (output below the threshold) -> edge bit "1", 1 -> "0".
+_CARRY_TO_EDGE = bytes.maketrans(b"\x00\x01", b"10")
+
+
+@lru_cache(maxsize=16)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """Constants of n 128-bit lanes, lane b at bits 128b..128b+127: a 1 in
+    every lane, the offsets (b + 1) * gamma mod 2**64, and a 64-bit mask."""
+    ones = sum(1 << 128 * b for b in range(n))
+    steps = sum(((b + 1) * _GAMMA & _MASK64) << 128 * b for b in range(n))
+    return ones, steps, ones * _MASK64
 
 
 class SplitMix64:
     """SplitMix64 pseudorandom generator (Steele, Lea, Flood 2014).
 
     Fixed algorithm: the fuzz subcommand's output for a given seed is part
-    of the external contract and must never change silently.
+    of the external contract and must never change silently.  `draw_bits`
+    computes a whole trial's draws together from the same `next64` stream;
+    the reference values in the tests pin that stream.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def draw_bits(self, n: int, threshold: int) -> int:
+        """The int whose bit b is set iff the b-th of the next n `next64`
+        outputs is below threshold, leaving the same state as those n calls.
+
+        Output b mixes state + (b + 1) * gamma, so all n are mixed at once,
+        each in its own 128-bit lane of one int: every lane is cut to 64
+        bits before a multiply, so no product reaches the next lane.  Adding
+        2**64 - threshold to a lane carries into its bit 64 iff its output
+        is at least threshold.  Raises ValueError for n < 0 or a threshold
+        outside [0, 2**64].
+        """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if not 0 <= threshold <= 1 << 64:
+            raise ValueError(f"threshold must be in [0, 2**64], got {threshold}")
+        ones, steps, low = _lanes(n)
+        z = (self.state * ones + steps) & low
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
+        z = ((z ^ z >> 31) & low) + ((1 << 64) - threshold) * ones
+        # Big-endian, lane b's carry byte sits at 16 * (n - 1 - b) + 7: the
+        # carries come out highest lane first, as int(..., 2) reads them.
+        carries = z.to_bytes(16 * n, "big")[7::16]
+        return int(carries.translate(_CARRY_TO_EDGE) or b"0", 2)
 
 
 @dataclass
@@ -98,11 +139,7 @@ def fuzz(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     for trial in range(trials):
-        bits = 0
-        for bit in range(n_pairs):
-            if rng.next64() < threshold:
-                bits |= 1 << bit
-        g = PrimeGraph(verts, bits)
+        g = PrimeGraph(verts, rng.draw_bits(n_pairs, threshold))
         diam = g.diameter()
         stats.graphs_generated += 1
         stats.by_diameter[diam] = stats.by_diameter.get(diam, 0) + 1

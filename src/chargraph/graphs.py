@@ -10,7 +10,6 @@ real degree sets never come close.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -195,9 +194,14 @@ class PrimeGraph:
     # -- operations ---------------------------------------------------------
 
     def complement(self) -> "PrimeGraph":
+        """The complement, with its `masks` filled from this graph's: each
+        row is every other vertex not adjacent here."""
         n = len(self.vertices)
-        full = (1 << (n * (n - 1) // 2)) - 1
-        return PrimeGraph(self.vertices, self.bits ^ full)
+        g = PrimeGraph(self.vertices, self.bits ^ (1 << (n * (n - 1) // 2)) - 1)
+        full = (1 << n) - 1
+        # Where cached_property would store it, so g.masks never re-derives it.
+        g.__dict__["masks"] = tuple(full ^ row ^ 1 << i for i, row in enumerate(self.masks))
+        return g
 
     def induced(self, sub: Iterable[int]) -> "PrimeGraph":
         """The induced subgraph on a subset of the vertices."""
@@ -355,21 +359,25 @@ def bipartition_or_odd_cycle(g: PrimeGraph) -> BipartiteCertificate:
     is valid but not necessarily minimum length.
     """
     n = len(g.vertices)
+    masks = g.masks
     color = [-1] * n
     parent = [-1] * n
     for root in range(n):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in _iter_bits(g.masks[u]):
+        queue = [root]
+        for u in queue:  # the loop also visits what it appends
+            cu, row = color[u], masks[u]
+            while row:
+                low = row & -row
+                row ^= low
+                v = low.bit_length() - 1
                 if color[v] == -1:
-                    color[v] = color[u] ^ 1
+                    color[v] = cu ^ 1
                     parent[v] = u
                     queue.append(v)
-                elif color[v] == color[u]:
+                elif color[v] == cu:
                     cycle = _tree_cycle(parent, u, v)
                     return BipartiteCertificate(
                         odd_cycle=tuple(g.vertices[i] for i in cycle)

@@ -3,21 +3,23 @@
 Everything here re-derives answers from first principles: ordered-partition
 enumeration with nested-loop condition checks, try-all-colorings
 bipartiteness, divisibility double loops, Floyd-Warshall distances, a
-smallest-factor sieve, and set-based versions of witness_partition,
+smallest-factor sieve, set-based versions of witness_partition,
 verify_duke and induced that scan vertices and pairs through
-g.distances_from and g.adjacent.  None of it shares logic with the
-library's neighbourhood-derived duke partition, bitmask distances and
-first-witness scans, or Miller-Rabin and Pollard-rho arithmetic, so
-agreement is meaningful.
+g.distances_from and g.adjacent, and a deque BFS 2-colouring that reads
+neighbours through g.adjacent.  None of it shares logic with the
+library's neighbourhood-derived duke partition, bitmask distances,
+first-witness scans and list-queue colouring, or Miller-Rabin and
+Pollard-rho arithmetic, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 from math import isqrt
 
 from chargraph.duke import DukePartition, NotAPartition, NotDistance3, Violation
-from chargraph.graphs import PrimeGraph, _pair_bit
+from chargraph.graphs import BipartiteCertificate, PrimeGraph, _pair_bit
 
 
 def duke_conditions_hold(g: PrimeGraph, parts: list[list[int]]) -> bool:
@@ -161,6 +163,46 @@ def brute_force_two_colorable(g: PrimeGraph) -> bool:
         if all(assignment[a] != assignment[b] for a, b in edges):
             return True
     return n == 0
+
+
+def deque_bipartition_or_odd_cycle(g: PrimeGraph) -> BipartiteCertificate:
+    """bipartition_or_odd_cycle as a deque BFS over g.adjacent: roots and
+    neighbours in ascending index order, and the first edge between two
+    vertices of one colour closed through the BFS tree as
+    [lowest common ancestor .. u] + [v .. just below it]."""
+    vs = g.vertices
+    n = len(vs)
+    color = [-1] * n
+    parent = [-1] * n
+
+    def chain(x: int) -> list[int]:
+        path = [x]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    for root in range(n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in range(n):
+                if v == u or not g.adjacent(vs[u], vs[v]):
+                    continue
+                if color[v] == -1:
+                    color[v] = color[u] ^ 1
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    ru, rv = chain(u), chain(v)
+                    k = 0
+                    while k < min(len(ru), len(rv)) and ru[k] == rv[k]:
+                        k += 1
+                    cycle = ru[k - 1 :] + rv[: k - 1 : -1]
+                    return BipartiteCertificate(odd_cycle=tuple(vs[i] for i in cycle))
+    return BipartiteCertificate(coloring={vs[i]: color[i] for i in range(n)})
 
 
 def check_coloring(g: PrimeGraph, coloring) -> bool:

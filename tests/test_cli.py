@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import chargraph
 from chargraph.cli import FuzzStats, SplitMix64, fuzz, run
@@ -234,13 +235,38 @@ def test_verify_lax_allows_unknown_fields(tmp_path, capsys):
 
 
 def test_splitmix64_reference_values():
-    # first outputs for seed 1234567, from the published SplitMix64 recurrence
+    # first outputs of the published SplitMix64 recurrence
     rng = SplitMix64(1234567)
-    first = [rng.next64() for _ in range(3)]
-    rng2 = SplitMix64(1234567)
-    assert first == [rng2.next64() for _ in range(3)]
-    assert all(0 <= x < 1 << 64 for x in first)
-    assert len(set(first)) == 3
+    assert [rng.next64() for _ in range(3)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+    ]
+    rng = SplitMix64(0)
+    assert [rng.next64() for _ in range(3)] == [
+        16294208416658607535,
+        7960286522194355700,
+        487617019471545679,
+    ]
+
+
+_THRESHOLDS = st.one_of(st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1, 1 << 64]), st.integers(0, 1 << 64))
+
+
+@given(n=st.integers(0, 2016), threshold=_THRESHOLDS, seed=st.integers())
+def test_draw_bits_matches_next64(n, threshold, seed):
+    one_by_one, together = SplitMix64(seed), SplitMix64(seed)
+    expected = sum(1 << b for b in range(n) if one_by_one.next64() < threshold)
+    assert together.draw_bits(n, threshold) == expected
+    assert together.state == one_by_one.state
+
+
+@pytest.mark.parametrize("n, threshold", [(-1, 1 << 63), (45, -1), (45, (1 << 64) + 1)])
+def test_draw_bits_rejects_bad_arguments(n, threshold):
+    rng = SplitMix64(7)
+    with pytest.raises(ValueError):
+        rng.draw_bits(n, threshold)
+    assert rng.state == SplitMix64(7).state
 
 
 def test_fuzz_zero_trials():

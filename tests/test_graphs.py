@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chargraph.graphs import (
     UNREACHABLE,
@@ -11,7 +11,13 @@ from chargraph.graphs import (
 )
 from chargraph.primes import PRIME_LIMIT, first_primes
 
-from oracles import brute_force_two_colorable, check_coloring, check_odd_cycle, edge_matches_divisibility
+from oracles import (
+    brute_force_two_colorable,
+    check_coloring,
+    check_odd_cycle,
+    deque_bipartition_or_odd_cycle,
+    edge_matches_divisibility,
+)
 
 
 @st.composite
@@ -121,10 +127,15 @@ def test_complement_examples():
     assert p4.complement().edges() == [(2, 5), (2, 7), (3, 7)]
 
 
-@given(prime_graphs())
+@given(prime_graphs(max_vertices=12))
+@example(PrimeGraph(()))
+@example(PrimeGraph((2,)))
 def test_complement_is_involution(g):
-    assert g.complement().complement() == g
-    assert g.complement().vertices == g.vertices
+    comp = g.complement()
+    assert comp.complement() == g
+    assert comp.vertices == g.vertices
+    # complement() fills masks itself; they equal those derived from bits.
+    assert comp.masks == PrimeGraph(g.vertices, comp.bits).masks
 
 
 def test_induced_examples():
@@ -230,6 +241,14 @@ def test_certificate_always_validates(g):
     else:
         assert check_odd_cycle(g, cert.odd_cycle)
     assert cert.valid_for(g)
+
+
+@given(prime_graphs(max_vertices=12))
+def test_bipartition_matches_deque_oracle(g):
+    # The same odd cycle or the same colouring, on g and on its complement,
+    # whose masks complement() fills itself.
+    for h in (g, g.complement()):
+        assert bipartition_or_odd_cycle(h) == deque_bipartition_or_odd_cycle(h)
 
 
 def test_exhaustive_agreement_up_to_5_vertices():
