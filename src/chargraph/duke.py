@@ -92,9 +92,11 @@ class Violation:
 
 def _distance_parts(g: PrimeGraph, p: int, q: int) -> tuple[int, int, int, int]:
     """Index masks of the vertices at distance 3 and 2 from p, then at
-    distance 2 and 3 from q, for a pair (p, q) of indices at distance 3."""
-    from_p, from_q = g._levels[p], g._levels[q]
-    return from_p[3], from_p[2], from_q[2], from_q[3]
+    distance 2 and 3 from q, for a pair (p, q) of indices at distance 3:
+    rows p and q of the distance-3 and distance-2 rings of g._reach."""
+    within1, within2, within3 = g._reach[1:4]
+    at3, at2 = within3 & ~within2, within2 & ~within1
+    return g._row(at3, p), g._row(at2, p), g._row(at2, q), g._row(at3, q)
 
 
 def _partition(
@@ -131,7 +133,8 @@ def witness_partition(g: PrimeGraph, p: int, q: int) -> DukePartition:
     """Partition the vertices by their distances to a distance-3 pair (p, q).
 
     rho1 = vertices at distance 3 from p, rho2 at distance 2 from p,
-    rho3 at distance 2 from q, rho4 at distance 3 from q.  Raises
+    rho3 at distance 2 from q, rho4 at distance 3 from q: rows p and q of
+    the graph's distance-3 and distance-2 rings.  Raises
     NotAPartition when the four sets overlap or fail to cover the graph;
     on genuine degree graphs they always partition it.
     """
@@ -196,14 +199,14 @@ def find_duke(g: PrimeGraph) -> DukePartition | None:
     vertex of N[i] is at distance 2 from j if it has a neighbor in N[j]
     (C3 puts it in rho2) and at distance 3 if not (C1 puts it in rho1),
     and dually for N[j].  So, like witness_partition, find_duke reads the
-    partition off the same distance frontiers: rho1 and rho2 at distance
-    3 and 2 from j, rho3 and rho4 at distance 2 and 3 from i.  Vertex i
-    is the least of rho1 u rho4, so putting it in rho1 gives the least
-    partition under (sorted rho1, sorted rho2, sorted rho3); the mirror
-    is the only other one.  Every step is forced, so None is a proof
-    that no duke partition exists.  It comes in exactly three cases: the
-    diameter is not 3, N[i] u N[j] misses a vertex, or one of N[i], N[j]
-    is not a clique.
+    partition off rows j and i of the same distance-3 and distance-2
+    rings: rho1 and rho2 at distance 3 and 2 from j, rho3 and rho4 at
+    distance 2 and 3 from i.  Vertex i is the least of rho1 u rho4, so
+    putting it in rho1 gives the least partition under (sorted rho1,
+    sorted rho2, sorted rho3); the mirror is the only other one.  Every
+    step is forced, so None is a proof that no duke partition exists.  It
+    comes in exactly three cases: the diameter is not 3, N[i] u N[j]
+    misses a vertex, or one of N[i], N[j] is not a clique.
     """
     n = len(g.vertices)
     if n < 4:

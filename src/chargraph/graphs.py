@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from . import primes
@@ -35,6 +34,17 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _square(n: int) -> tuple[int, int, int, int]:
+    """Constants of the n x n bit matrices packed row-major into one int
+    (entry (i, j) at bit n*i + j): bit 0 of every row, the identity, all
+    ones, and the strict upper triangle j > i."""
+    col = sum(1 << n * i for i in range(n))
+    identity = sum(1 << (n + 1) * i for i in range(n))
+    upper = sum((1 << n) - (2 << i) << n * i for i in range(n))
+    return col, identity, (1 << n * n) - 1, upper
 
 
 @dataclass(frozen=True)
@@ -135,29 +145,28 @@ class PrimeGraph:
         return tuple(masks)
 
     @cached_property
-    def _levels(self) -> tuple[tuple[int, ...], ...]:
-        """Per source index, the breadth-first frontiers as bitmasks: entry d
-        holds the vertices at distance d.  The next frontier is the union of
-        the current one's neighbors, less every vertex already reached."""
-        full = (1 << len(self.vertices)) - 1
-        neighbors = {1 << i: mask for i, mask in enumerate(self.masks)}  # keyed by vertex bit
-        out = []
-        for src in range(len(self.vertices)):
-            frontier = reached = 1 << src
-            levels = [frontier]
-            while reached != full:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= neighbors[low]
-                    frontier ^= low
-                frontier = nxt & ~reached
-                if not frontier:
-                    break
-                reached |= frontier
-                levels.append(frontier)
-            out.append(tuple(levels))
+    def _reach(self) -> tuple[int, ...]:
+        """Entry d packs (as in _square) the n x n matrix "within distance
+        d".  All sources advance at once: (r >> j) & col has bit n*i set iff
+        row i holds j, and multiplied by masks[j] (n bits wide, so no product
+        spills into the next row) it ORs j's neighbors into each such row.
+        The last entry is full or a fixed point, so the diameter is len - 1."""
+        col, r, full, _ = _square(len(self.vertices))
+        out = [r]
+        while r != full:
+            nxt = r
+            for j, mask in enumerate(self.masks):
+                nxt |= (r >> j & col) * mask
+            if nxt == r:
+                break
+            out.append(nxt)
+            r = nxt
         return tuple(out)
+
+    def _row(self, matrix: int, i: int) -> int:
+        """Row i of a packed n x n matrix, as a vertex bitmask."""
+        n = len(self.vertices)
+        return matrix >> n * i & (1 << n) - 1
 
     # -- basic queries ------------------------------------------------------
 
@@ -217,45 +226,46 @@ class PrimeGraph:
         """Connected components as prime sets, ordered by smallest member."""
         seen = 0
         out: list[frozenset[int]] = []
-        for root, levels in enumerate(self._levels):
+        for root in range(len(self.vertices)):
             if seen >> root & 1:
                 continue
-            comp = reduce(or_, levels)
+            comp = self._row(self._reach[-1], root)
             seen |= comp
             out.append(frozenset(self.vertices[i] for i in _iter_bits(comp)))
         return out
 
     def distances_from(self, u: int) -> dict[int, float]:
-        row: dict[int, float] = dict.fromkeys(self.vertices, UNREACHABLE)
-        for d, level in enumerate(self._levels[self._require_vertex(u)]):
-            for j in _iter_bits(level):
-                row[self.vertices[j]] = d
-        return row
+        self._require_vertex(u)
+        return {v: self.distance(u, v) for v in self.vertices}
 
     def distance(self, u: int, v: int) -> float:
         """Shortest-path edge count, or UNREACHABLE across components."""
-        i, j = self._require_vertex(u), self._require_vertex(v)
-        return next((d for d, level in enumerate(self._levels[i]) if level >> j & 1), UNREACHABLE)
+        b = self._require_vertex(u) * len(self.vertices) + self._require_vertex(v)
+        return next((d for d, matrix in enumerate(self._reach) if matrix >> b & 1), UNREACHABLE)
 
     def diameter(self) -> int:
         """Largest distance within a component; 0 if every vertex is isolated."""
         if not self.vertices:
             raise ValueError("diameter of the empty graph is undefined")
-        return max(len(levels) for levels in self._levels) - 1
+        return len(self._reach) - 1
 
     def pairs_at_distance(self, lo: int, hi: int = MAX_VERTICES) -> Iterator[tuple[int, int, int]]:
         """Index pairs (i, j, d), i < j, at a finite distance lo <= d <= hi,
-        in lexicographic (i, j) order: per source, the bits of one ring.
-        Raises ValueError for lo < 0."""
+        in lexicographic (i, j) order: the upper-triangle bits of the one
+        ring "within hi, not within lo - 1", ascending, so the first pair
+        is the ring's lowest bit.  Raises ValueError for lo < 0."""
         if lo < 0:
             raise ValueError(f"lo must be >= 0, got {lo}")
-        for i, levels in enumerate(self._levels):
-            ring = reduce(or_, levels[lo : hi + 1], 0) & -2 << i
-            for j in _iter_bits(ring):
-                d = lo
-                while not levels[d] >> j & 1:
-                    d += 1
-                yield i, j, d
+        reach = self._reach
+        hi = min(hi, len(reach) - 1)
+        if lo > hi:
+            return
+        ring = (reach[hi] & ~reach[lo - 1] if lo else reach[hi]) & _square(len(self.vertices))[3]
+        for b in _iter_bits(ring):
+            d = lo
+            while not reach[d] >> b & 1:
+                d += 1
+            yield (*divmod(b, len(self.vertices)), d)
 
     def is_complete(self) -> bool:
         n = len(self.vertices)

@@ -5,9 +5,10 @@ enumeration with nested-loop condition checks, try-all-colorings
 bipartiteness, divisibility double loops, Floyd-Warshall distances, a
 smallest-factor sieve, set-based versions of witness_partition,
 verify_duke and induced that scan vertices and pairs through
-g.distances_from and g.adjacent, and a deque BFS 2-colouring that reads
-neighbours through g.adjacent.  None of it shares logic with the
-library's neighbourhood-derived duke partition, bitmask distances,
+g.distances_from and g.adjacent, a deque BFS 2-colouring that reads
+neighbours through g.adjacent, and a one-source-at-a-time frontier BFS
+over g.masks.  None of it shares logic with the library's
+neighbourhood-derived duke partition, packed all-sources reach matrices,
 first-witness scans and list-queue colouring, or Miller-Rabin and
 Pollard-rho arithmetic, so agreement is meaningful.
 """
@@ -248,6 +249,30 @@ def floyd_warshall(g: PrimeGraph) -> dict[tuple[int, int], float]:
                 if dist[u, w] + dist[w, v] < dist[u, v]:
                     dist[u, v] = dist[u, w] + dist[w, v]
     return dist
+
+
+def frontier_levels(g: PrimeGraph) -> tuple[tuple[int, ...], ...]:
+    """Per source index, the breadth-first frontiers as bitmasks over
+    g.masks: entry d holds the vertices at distance d.  One BFS per source;
+    the next frontier is the union of the current one's neighbors, less
+    every vertex already reached."""
+    full = (1 << len(g.vertices)) - 1
+    out = []
+    for src in range(len(g.vertices)):
+        frontier = reached = 1 << src
+        levels = [frontier]
+        while reached != full:
+            nxt = 0
+            for i in range(len(g.vertices)):
+                if frontier >> i & 1:
+                    nxt |= g.masks[i]
+            frontier = nxt & ~reached
+            if not frontier:
+                break
+            reached |= frontier
+            levels.append(frontier)
+        out.append(tuple(levels))
+    return tuple(out)
 
 
 def smallest_factors(limit: int) -> list[int]:

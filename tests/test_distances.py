@@ -1,16 +1,20 @@
 """The distance layer (`distance`, `distances_from`, `diameter` and
 `pairs_at_distance`) against the Floyd-Warshall oracle: every graph on at
-most five vertices, plus a Hypothesis sweep up to ten."""
+most five vertices, a Hypothesis sweep up to ten, and fixed graphs at
+MAX_VERTICES.  The packed reach matrices are also matched, ring by ring,
+against a per-source frontier BFS up to 24 vertices."""
 
 import math
+from functools import reduce
+from operator import and_, or_
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from chargraph.graphs import MAX_VERTICES, UNREACHABLE, PrimeGraph
+from chargraph.graphs import MAX_VERTICES, UNREACHABLE, PrimeGraph, _pair_bit
 from chargraph.primes import first_primes
 
-from oracles import floyd_warshall
+from oracles import floyd_warshall, frontier_levels
 from test_graphs import prime_graphs
 
 BANDS = ((0, 0), (0, MAX_VERTICES), (1, 1), (2, 2), (3, 3), (4, MAX_VERTICES), (1, MAX_VERTICES), (2, 3), (3, 2))
@@ -67,3 +71,59 @@ def test_pairs_refuse_a_negative_lower_bound():
     g = PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7)])
     with pytest.raises(ValueError, match="lo must be >= 0"):
         list(g.pairs_at_distance(-1, 1))
+
+
+@st.composite
+def sparse_graphs(draw, max_vertices=24):
+    """Random edges at density 1/2 down to 1/16 (an AND of one to four
+    random triangles) over a path through the first m vertices, so that
+    long distances and many components both turn up."""
+    k = draw(st.integers(0, max_vertices))
+    top = (1 << (k * (k - 1) // 2)) - 1
+    bits = reduce(and_, draw(st.lists(st.integers(0, top), min_size=1, max_size=4)))
+    bits |= sum(1 << _pair_bit(i, i + 1) for i in range(draw(st.integers(0, k)) - 1))
+    return PrimeGraph(first_primes(k), bits)
+
+
+@given(sparse_graphs())
+def test_reach_rings_match_frontier_bfs(g):
+    n = len(g)
+    levels = frontier_levels(g)
+    reach = g._reach
+    rings = [reach[0]] + [reach[d] & ~reach[d - 1] for d in range(1, len(reach))]
+    for i, source in enumerate(levels):
+        for d in range(max(len(rings), len(source)) + 1):
+            ring_row = rings[d] >> n * i & (1 << n) - 1 if d < len(rings) else 0
+            assert ring_row == (source[d] if d < len(source) else 0)
+    if n:
+        assert g.diameter() == max(len(source) for source in levels) - 1
+    reached = {frozenset(g.vertices[j] for j in range(n) if reduce(or_, source) >> j & 1) for source in levels}
+    assert g.components() == sorted(reached, key=min)
+
+
+def _path(ps):
+    return [(ps[i], ps[i + 1]) for i in range(len(ps) - 1)]
+
+
+PS = first_primes(MAX_VERTICES)
+AT_WIDTH = {
+    "P64": (PrimeGraph.from_edges(_path(PS)), 63, 1),
+    "C64": (PrimeGraph.from_edges(_path(PS) + [(PS[-1], PS[0])]), 32, 1),
+    "K64": (PrimeGraph(PS, (1 << MAX_VERTICES * (MAX_VERTICES - 1) // 2) - 1), 1, 1),
+    "edgeless": (PrimeGraph(PS), 0, 64),
+    "two P32": (PrimeGraph.from_edges(_path(PS[:32]) + _path(PS[32:])), 31, 2),
+}
+
+
+@pytest.mark.parametrize("name", AT_WIDTH)
+def test_graphs_at_the_packing_width(name):
+    g, diameter, components = AT_WIDTH[name]
+    assert len(g) == MAX_VERTICES
+    check_against_oracle(g)
+    assert g.diameter() == diameter
+    assert len(g.components()) == components
+
+
+def test_first_pair_of_the_longest_path():
+    p64 = AT_WIDTH["P64"][0]
+    assert next(p64.pairs_at_distance(63)) == (0, 63, 63)
