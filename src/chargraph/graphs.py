@@ -365,8 +365,9 @@ class BipartiteCertificate:
 def bipartition_or_odd_cycle(g: PrimeGraph) -> BipartiteCertificate:
     """2-color the graph by breadth-first layering, or extract an odd cycle.
 
-    The cycle is the first one discovered, closed through the BFS tree; it
-    is valid but not necessarily minimum length.
+    The cycle is the first edge u-v whose ends share a colour, closed at
+    the lowest common ancestor (LCA) of their BFS tree paths as [lca .. u]
+    + [v .. just below lca]; it is valid but not necessarily minimum length.
     """
     n = len(g.vertices)
     masks = g.masks
@@ -388,25 +389,15 @@ def bipartition_or_odd_cycle(g: PrimeGraph) -> BipartiteCertificate:
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == cu:
-                    cycle = _tree_cycle(parent, u, v)
+                    # BFS neighbours differ in depth by at most 1, so equal
+                    # colour means equal depth: both parent walks reach the
+                    # LCA on the same step.
+                    up, down = [u], [v]
+                    while up[-1] != down[-1]:
+                        up.append(parent[up[-1]])
+                        down.append(parent[down[-1]])
                     return BipartiteCertificate(
-                        odd_cycle=tuple(g.vertices[i] for i in cycle)
+                        odd_cycle=tuple(g.vertices[i] for i in up[::-1] + down[:-1])
                     )
     return BipartiteCertificate(coloring={g.vertices[i]: color[i] for i in range(n)})
 
-
-def _tree_cycle(parent: list[int], u: int, v: int) -> list[int]:
-    """Close the edge u-v through the BFS tree: [lca .. u] + [v .. below lca]."""
-
-    def chain(x: int) -> list[int]:
-        path = [x]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    ru, rv = chain(u), chain(v)
-    k = 0
-    while k < min(len(ru), len(rv)) and ru[k] == rv[k]:
-        k += 1
-    return ru[k - 1 :] + rv[: k - 1 : -1]

@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 from chargraph.graphs import MAX_VERTICES, UNREACHABLE, PrimeGraph, _pair_bit
 from chargraph.primes import first_primes
 
+from graph_helpers import path4, prime_graphs
 from oracles import floyd_warshall, frontier_levels
-from test_graphs import prime_graphs
 
 BANDS = ((0, 0), (0, MAX_VERTICES), (1, 1), (2, 2), (3, 3), (4, MAX_VERTICES), (1, MAX_VERTICES), (2, 3), (3, 2))
 
@@ -68,9 +68,8 @@ def test_pairs_cross_no_component():
 
 
 def test_pairs_refuse_a_negative_lower_bound():
-    g = PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7)])
     with pytest.raises(ValueError, match="lo must be >= 0"):
-        list(g.pairs_at_distance(-1, 1))
+        list(path4().pairs_at_distance(-1, 1))
 
 
 @st.composite

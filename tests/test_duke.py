@@ -22,6 +22,7 @@ from chargraph.duke import (
 from chargraph.graphs import PrimeGraph, bipartition_or_odd_cycle
 from chargraph.primes import first_primes
 
+from graph_helpers import cycle, k4, path4, prime_graphs
 from oracles import (
     brute_force_find_duke,
     check_odd_cycle,
@@ -32,31 +33,11 @@ from oracles import (
 )
 
 
-def path4():
-    return PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7)])
-
-
-def cycle7():
-    ps = first_primes(7)
-    return PrimeGraph.from_edges([(ps[i], ps[(i + 1) % 7]) for i in range(7)])
-
-
-def k4():
-    return PrimeGraph.from_edges([(a, b) for a in (2, 3, 5, 7) for b in (2, 3, 5, 7) if a < b])
-
-
 def six_vertex_example():
     # two triangles {2,3,5} and {7,11,13} bridged by 3-7 and 5-11
     return PrimeGraph.from_edges(
         [(2, 3), (2, 5), (3, 5), (7, 11), (7, 13), (11, 13), (3, 7), (5, 11)]
     )
-
-
-@st.composite
-def prime_graphs(draw, min_vertices=0, max_vertices=7):
-    k = draw(st.integers(min_vertices, max_vertices))
-    bits = draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1))
-    return PrimeGraph(first_primes(k), bits)
 
 
 # -- DukePartition type ---------------------------------------------------------
@@ -93,7 +74,7 @@ def test_witness_partition_on_six_vertex_graph():
 
 def test_witness_partition_rejects_c7():
     with pytest.raises(NotAPartition) as info:
-        witness_partition(cycle7(), 2, 7)
+        witness_partition(cycle(7), 2, 7)
     assert info.value.vertex == 13
 
 
@@ -102,7 +83,7 @@ def test_witness_partition_requires_distance_3():
         witness_partition(path4(), 2, 5)
 
 
-@given(prime_graphs(min_vertices=4))
+@given(prime_graphs(max_vertices=7, min_vertices=4))
 def test_witness_partition_properties(g):
     # on any distance-3 pair: either NOT_A_PARTITION, or a partition of V
     # with q in rho1 and p in rho4 (nothing stronger holds for arbitrary
@@ -167,7 +148,7 @@ def graphs_and_splits(draw):
     """A graph on 4 to 10 vertices, a pool of its vertices plus up to two
     primes off the graph, and a four-way split of the pool with every part
     nonempty that may also leave some of the pool out."""
-    g = draw(prime_graphs(min_vertices=4, max_vertices=10))
+    g = draw(prime_graphs(max_vertices=10, min_vertices=4))
     pool = first_primes(len(g.vertices) + draw(st.integers(0, 2)))
     top = draw(st.sampled_from([3, 4]))  # label 4 leaves a vertex out
     labels = draw(st.lists(st.integers(0, top), min_size=len(pool), max_size=len(pool)))
@@ -197,7 +178,7 @@ def test_mask_layer_matches_set_oracles(data):
 
 def test_find_duke_examples():
     assert find_duke(path4()) is not None
-    assert find_duke(cycle7()) is None
+    assert find_duke(cycle(7)) is None
     assert find_duke(k4()) is None
     with pytest.raises(TooSmall):
         find_duke(PrimeGraph.from_edges([(2, 3), (3, 5)]))
@@ -211,12 +192,12 @@ def test_find_duke_returns_lexicographically_least():
 
 
 @settings(max_examples=150)
-@given(prime_graphs(min_vertices=4, max_vertices=6))
+@given(prime_graphs(max_vertices=6, min_vertices=4))
 def test_find_duke_matches_brute_force(g):
     assert find_duke(g) == brute_force_find_duke(g)
 
 
-@given(prime_graphs(min_vertices=4))
+@given(prime_graphs(max_vertices=7, min_vertices=4))
 def test_find_duke_output_verifies(g):
     part = find_duke(g)
     if part is not None:
@@ -238,7 +219,7 @@ def test_find_duke_output_verifies(g):
 
 def test_lemma31_examples():
     assert lemma31_holds(path4()) == (True, None)
-    assert lemma31_holds(cycle7()) == (False, (2, 7, 13))
+    assert lemma31_holds(cycle(7)) == (False, (2, 7, 13))
     assert lemma31_holds(PrimeGraph.from_edges([(2, 3)])) == (True, None)
 
 
@@ -330,17 +311,17 @@ def test_screen_path_passes():
 
 
 def test_screen_c7_fails_with_all_three_reasons():
-    report = screen(cycle7())
+    report = screen(cycle(7))
     assert set(report.reasons) == {
         DIAM3_NOT_DUKE,
         DIAM3_COMPLEMENT_NOT_BIPARTITE,
         DIAM3_LEMMA31_FAILS,
     }
     cyc = report.certificates[DIAM3_COMPLEMENT_NOT_BIPARTITE]["odd_cycle"]
-    assert check_odd_cycle(cycle7().complement(), cyc)
+    assert check_odd_cycle(cycle(7).complement(), cyc)
     p, q = report.certificates[DIAM3_LEMMA31_FAILS]["pair"]
     t = report.certificates[DIAM3_LEMMA31_FAILS]["uncovered"]
-    g = cycle7()
+    g = cycle(7)
     assert g.distance(p, q) == 3
     assert not g.adjacent(t, p) and not g.adjacent(t, q)
 
@@ -359,7 +340,7 @@ def test_screen_rejects_empty_graph():
         screen(PrimeGraph(()))
 
 
-@given(prime_graphs(min_vertices=1))
+@given(prime_graphs(max_vertices=7, min_vertices=1))
 def test_screen_passed_iff_no_reasons(g):
     report = screen(g)
     assert report.passed == (not report.reasons)
@@ -368,6 +349,6 @@ def test_screen_passed_iff_no_reasons(g):
 
 
 def test_report_json_round_trip():
-    report = screen(cycle7())
+    report = screen(cycle(7))
     data = report.to_json_dict()
     assert FeasibilityReport.from_json_dict(data).to_json_dict() == data

@@ -11,6 +11,7 @@ from chargraph.graphs import (
 )
 from chargraph.primes import PRIME_LIMIT, first_primes
 
+from graph_helpers import cycle, cycle_edges, k4, path4, prime_graphs
 from oracles import (
     brute_force_two_colorable,
     check_coloring,
@@ -21,25 +22,9 @@ from oracles import (
 
 
 @st.composite
-def prime_graphs(draw, min_vertices=0, max_vertices=8):
-    k = draw(st.integers(min_vertices, max_vertices))
-    bits = draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1))
-    return PrimeGraph(first_primes(k), bits)
-
-
-@st.composite
 def degree_sets(draw):
     extra = draw(st.sets(st.integers(min_value=2, max_value=500), max_size=6))
     return DegreeSet.of({1} | extra)
-
-
-def path4():
-    return PrimeGraph.from_edges([(2, 3), (3, 5), (5, 7)])
-
-
-def cycle(k):
-    ps = first_primes(k)
-    return PrimeGraph.from_edges([(ps[i], ps[(i + 1) % k]) for i in range(k)])
 
 
 # -- DegreeSet / build_graph ---------------------------------------------------
@@ -153,8 +138,7 @@ def test_induced_examples():
 def test_components_examples():
     g = PrimeGraph((2, 3, 7))  # shape of the PSL2(8) graph
     assert g.components() == [{2}, {3}, {7}]
-    k4 = PrimeGraph.from_edges([(a, b) for a in (2, 3, 5, 7) for b in (2, 3, 5, 7) if a < b])
-    assert k4.components() == [{2, 3, 5, 7}]
+    assert k4().components() == [{2, 3, 5, 7}]
     assert PrimeGraph(()).components() == []
 
 
@@ -178,7 +162,7 @@ def test_diameter_examples():
         PrimeGraph(()).diameter()
 
 
-@given(prime_graphs(min_vertices=1))
+@given(prime_graphs(max_vertices=8, min_vertices=1))
 def test_components_partition_and_distance(g):
     comps = g.components()
     seen = [v for c in comps for v in c]
@@ -233,7 +217,7 @@ def test_certificate_shape_enforced():
         BipartiteCertificate(odd_cycle=(2, 3, 5, 7))  # even length
 
 
-@given(prime_graphs())
+@given(prime_graphs(max_vertices=8))
 def test_certificate_always_validates(g):
     cert = bipartition_or_odd_cycle(g)
     if cert.is_bipartite:
@@ -249,6 +233,32 @@ def test_bipartition_matches_deque_oracle(g):
     # whose masks complement() fills itself.
     for h in (g, g.complement()):
         assert bipartition_or_odd_cycle(h) == deque_bipartition_or_odd_cycle(h)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        # the conflict 11-13 is four steps from the root on both sides
+        (cycle(9), (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+        # a path 2-3-5 into a C5: the LCA 5 sits at depth 2, not at the root
+        (PrimeGraph.from_edges([(2, 3), (3, 5)] + cycle_edges((5, 7, 11, 13, 17))), (5, 7, 11, 13, 17)),
+        # the odd cycle lies in the second component, rooted at 5
+        (PrimeGraph.from_edges([(2, 3)] + cycle_edges(first_primes(9)[2:])), (5, 7, 11, 13, 17, 19, 23)),
+        # theta: 2 and 3 joined by paths of length 2, 3 and 4
+        (
+            PrimeGraph.from_edges(
+                [(2, 5), (5, 3), (2, 7), (7, 11), (11, 3), (2, 13), (13, 17), (17, 19), (19, 3)]
+            ),
+            (2, 5, 3, 11, 7),
+        ),
+    ],
+    ids=["C9", "path-into-C5", "second-component-C7", "theta"],
+)
+def test_odd_cycle_closes_at_the_lowest_common_ancestor(g, expected):
+    cert = bipartition_or_odd_cycle(g)
+    assert cert == deque_bipartition_or_odd_cycle(g)
+    assert cert.odd_cycle == expected
+    assert check_odd_cycle(g, cert.odd_cycle)
 
 
 def test_exhaustive_agreement_up_to_5_vertices():
@@ -270,7 +280,7 @@ def test_dot_deterministic_order():
     )
 
 
-@given(prime_graphs())
+@given(prime_graphs(max_vertices=8))
 def test_dot_round_trip(g):
     assert PrimeGraph.from_dot(g.to_dot()) == g
 
