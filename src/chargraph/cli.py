@@ -9,11 +9,12 @@ input error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -166,7 +167,68 @@ def fuzz(
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """`obj` as the `json` module writes it with indent=2, sort_keys=True
+    and its other defaults (ASCII escapes, NaN and Infinity allowed), byte
+    for byte, raising the same TypeError for what it cannot write.
+
+    On Python 3.11 any indent runs the `json` module's pure-Python
+    generator encoder; this builds each container's text with one join."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj: Any, pad: str) -> str:
+    """`obj`'s JSON text, its nested lines indented by `pad` plus two."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            (_escape(k) if type(k) is str else _key(k)) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + pad + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    # Subclasses, as the json module takes them: an IntEnum by its int value.
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return _encode(list(obj), pad)
+    if isinstance(obj, dict):
+        return _encode(dict(obj.items()), pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _key(key: Any) -> str:
+    """A dict key as the json module writes it: a string as itself, a
+    number, boolean or null as the string of its JSON text."""
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):
+        return _escape(_encode(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit(obj: Any) -> None:

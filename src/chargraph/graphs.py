@@ -37,6 +37,13 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=MAX_VERTICES + 1)
+def _pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(_pair_bit(i, j), i, j) for every index pair i < j of n vertices,
+    in lexicographic (i, j) order."""
+    return tuple((_pair_bit(i, j), i, j) for i, j in combinations(range(n), 2))
+
+
+@lru_cache(maxsize=MAX_VERTICES + 1)
 def _square(n: int) -> tuple[int, int, int, int]:
     """Constants of the n x n bit matrices packed row-major into one int
     (entry (i, j) at bit n*i + j): bit 0 of every row, the identity, all
@@ -59,7 +66,7 @@ class DegreeSet:
         if not isinstance(self.degrees, frozenset):
             object.__setattr__(self, "degrees", frozenset(self.degrees))
         for d in self.degrees:
-            if not isinstance(d, int) or d < 1:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 1:
                 raise ValueError(f"degrees must be integers >= 1, got {d!r}")
             if d >= primes.PRIME_LIMIT:
                 raise ValueError(f"degree {d} is not below PRIME_LIMIT = {primes.PRIME_LIMIT}")
@@ -186,12 +193,8 @@ class PrimeGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as prime pairs (p, q) with p < q, lexicographic."""
-        out = []
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                if self.bits >> _pair_bit(i, j) & 1:
-                    out.append((self.vertices[i], self.vertices[j]))
-        return out
+        bits, verts = self.bits, self.vertices
+        return [(verts[i], verts[j]) for bit, i, j in _pairs(len(verts)) if bits >> bit & 1]
 
     def edge_count(self) -> int:
         return self.bits.bit_count()

@@ -37,6 +37,13 @@ def test_degree_set_requires_one():
         DegreeSet.of({1, 0})
 
 
+def test_degree_set_refuses_bools():
+    for values in ([True, 6], [True], [1, 6, False]):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            DegreeSet.of(values)
+    assert DegreeSet.of([1, 6]).sorted() == [1, 6]
+
+
 def test_degree_set_bound():
     assert DegreeSet.of({1, PRIME_LIMIT - 1}).sorted() == [1, PRIME_LIMIT - 1]
     with pytest.raises(ValueError, match="PRIME_LIMIT"):
@@ -267,6 +274,37 @@ def test_exhaustive_agreement_up_to_5_vertices():
         for bits in range(1 << (k * (k - 1) // 2)):
             g = PrimeGraph(verts, bits)
             assert bipartition_or_odd_cycle(g).is_bipartite == brute_force_two_colorable(g)
+
+
+# -- edges ----------------------------------------------------------------------
+
+
+def adjacent_pairs(g):
+    """The edge list read pair by pair through `adjacent`."""
+    return [(u, v) for i, u in enumerate(g.vertices) for v in g.vertices[i + 1 :] if g.adjacent(u, v)]
+
+
+def test_edges_match_adjacent_up_to_5_vertices():
+    for k in range(0, 6):
+        verts = first_primes(k)
+        for bits in range(1 << (k * (k - 1) // 2)):
+            g = PrimeGraph(verts, bits)
+            assert g.edges() == adjacent_pairs(g)
+
+
+@given(prime_graphs(max_vertices=12))
+def test_edges_match_adjacent(g):
+    assert g.edges() == adjacent_pairs(g)
+
+
+def test_edges_at_64_vertices():
+    verts = first_primes(64)
+    complete = PrimeGraph(verts, (1 << 64 * 63 // 2) - 1)
+    path = PrimeGraph.from_edges(zip(verts, verts[1:]))
+    for g in (complete, path, PrimeGraph(verts)):
+        assert g.edges() == adjacent_pairs(g)
+    assert len(complete.edges()) == 2016 and path.edges() == list(zip(verts, verts[1:]))
+    assert PrimeGraph(verts).edges() == []
 
 
 # -- DOT ----------------------------------------------------------------------
